@@ -14,9 +14,9 @@ import sys
 
 import numpy as np
 
-from opinion_lab.dynamics import Trajectory, pseudo_stable_check, simulate
+from opinion_lab.dynamics import Trajectory, digraph_hash, pseudo_stable_check, simulate
 from opinion_lab.experiment import ExperimentConfig, emit_results, run_campaign
-from opinion_lab.graph import build_digraph, classify
+from opinion_lab.graph import build_digraph, classify, proximity_mask
 from opinion_lab.leader import (
     analyze_final_topology,
     verify_direction_prediction,
@@ -92,14 +92,13 @@ def load_trajectory_csv(path, state: OpinionState) -> Trajectory:
     if any(len(x) != state.n for x in traj.states):
         raise InputError(f"{path}: row width does not match state size")
     # Rebuild topology epochs from the recorded states.
-    from opinion_lab.dynamics import digraph_hash
-
     prev = None
     for t, x in zip(traj.times, traj.states):
-        h = digraph_hash(build_digraph(state.with_opinions(x)))
-        if h != prev:
-            traj.topology_epochs.append((t, h))
-            prev = h
+        now = state.with_opinions(x)
+        mask = proximity_mask(now)
+        if prev is None or not np.array_equal(mask, prev):
+            traj.topology_epochs.append((t, digraph_hash(build_digraph(now))))
+            prev = mask
     return traj
 
 
@@ -158,7 +157,9 @@ def cmd_analyze(args) -> int:
         traj = simulate(state, max_steps=args.max_steps)
     _, c, _, f, la = analyze_final_topology(traj)
     report = {"leaders": la.to_json(c)}
-    window = min(args.window, len(traj.times))
+    # The rate check needs its window inside the final topology epoch.
+    tail_start = traj.topology_epochs[-1][0]
+    window = min(args.window, sum(1 for t in traj.times if t >= tail_start))
     if window >= 10:
         report["rates"] = [
             {

@@ -5,26 +5,31 @@ pseudo-stability)."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from opinion_lab.graph import ProximityDigraph, build_digraph, classify
+from opinion_lab.graph import ProximityDigraph, build_digraph, classify, proximity_mask
 from opinion_lab.matrix import adjacency_matrix, canonical_decomposition, fvct_canonical
 from opinion_lab.state import Model, OpinionState
 
 
 def digraph_hash(g: ProximityDigraph) -> str:
-    """Stable 64-bit hash of the sorted edge list, as hex."""
-    h = hashlib.sha256()
-    h.update(g.n.to_bytes(8, "little"))
-    for i in range(g.n):
-        for j in g.out_neighbors[i]:
-            h.update(i.to_bytes(4, "little"))
-            h.update(j.to_bytes(4, "little"))
+    """Stable 64-bit hash of the sorted edge list, as hex: sha256 over n as
+    8 little-endian bytes, then every edge (i, j) as two little-endian
+    uint32, in ascending order."""
+    degrees = [len(nbrs) for nbrs in g.out_neighbors]
+    pairs = np.empty((sum(degrees), 2), dtype="<u4")
+    pairs[:, 0] = np.repeat(np.arange(g.n), degrees)
+    pairs[:, 1] = np.fromiter(
+        itertools.chain.from_iterable(g.out_neighbors), dtype="<u4", count=len(pairs)
+    )
+    h = hashlib.sha256(g.n.to_bytes(8, "little"))
+    h.update(pairs.tobytes())
     return h.hexdigest()[:16]
 
 
@@ -96,19 +101,57 @@ def step(state: OpinionState) -> np.ndarray:
     return adjacency_matrix(g) @ state.opinions
 
 
+@dataclass(eq=False)
+class Epoch:
+    """One topology epoch: the digraph, its label and its averaging matrix,
+    fixed from step ``start`` until the proximity mask changes."""
+
+    start: int
+    first_state: np.ndarray
+    mask: np.ndarray
+    digraph: ProximityDigraph
+    label: str
+    matrix: np.ndarray
+    _limit: Optional[np.ndarray] = field(default=None, repr=False)
+
+    def fvct(self) -> np.ndarray:
+        """Final value at constant topology of the epoch's first state (the
+        same for every state of the epoch), computed once."""
+        if self._limit is None:
+            decomp = canonical_decomposition(self.matrix, classify(self.digraph))
+            self._limit = fvct_canonical(decomp, self.first_state)
+        return self._limit
+
+
+# |x - f| < tol implies |Ax - x| < 2 tol (A is row-stochastic and Af = f), so
+# the epoch's fvct is only needed once a step moves less than this many tols;
+# the margin above 2 absorbs rounding and the error of the computed fvct.
+_LIMIT_MARGIN = 1e3
+
+
 def simulate(
     state: OpinionState,
     max_steps: int = 100_000,
     fixed_tol: float = 0.0,
     record_every: int = 1,
     limit_tol: float = 1e-12,
+    observer: Optional[Callable[[int, np.ndarray, Epoch], None]] = None,
 ) -> Trajectory:
     """Iterate the averaging rule, tracking topology epochs and termination.
 
-    Stops on an exactly fixed state (bitwise, or within ``fixed_tol`` if
-    set above zero), or when the topology is constant and the state is
-    within ``limit_tol`` of its final value at constant topology
-    (``limit_tol=0`` disables that check), or after ``max_steps``.
+    A new epoch starts whenever the proximity mask differs from the current
+    epoch's.  At step t, ``observer(t, x, epoch)`` (if given) sees the state
+    before any check; it must not modify ``x``.  Then, with ``x' = A x``:
+
+    - ``fixed_at`` is set to t+1 when ``x'`` equals ``x`` bitwise (or
+      within ``fixed_tol`` if set above zero);
+    - past the epoch's first step, the run stops at t with
+      ``TOLERANCE_REACHED`` when ``x`` is within ``limit_tol`` of the
+      epoch's final value at constant topology (``limit_tol=0`` disables
+      this check);
+    - otherwise a fixed step stops the run at t+1 with ``FIXED_STATE``.
+
+    After ``max_steps`` steps the run stops with ``MAX_STEPS``.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -117,50 +160,48 @@ def simulate(
 
     x = np.array(state.opinions, dtype=float)
     traj = Trajectory(bounds=state.bounds, kind=state.kind)
-    current_hash = None
-    cached_fvct = None
+    epoch = None
 
     for t in range(max_steps):
-        g = build_digraph(state.with_opinions(x))
-        h = digraph_hash(g)
-        if h != current_hash:
-            traj.topology_epochs.append((t, h))
-            current_hash = h
-            cached_fvct = None
+        now = state.with_opinions(x)
+        mask = proximity_mask(now)
+        if epoch is None or not np.array_equal(mask, epoch.mask):
+            g = build_digraph(now)
+            epoch = Epoch(t, now.opinions, mask, g, digraph_hash(g), adjacency_matrix(g))
+            traj.topology_epochs.append((t, epoch.label))
 
         if t % record_every == 0:
             traj.times.append(t)
             traj.states.append(x.copy())
+        if observer is not None:
+            observer(t, x, epoch)
 
-        if limit_tol > 0.0 and t > traj.topology_epochs[-1][0]:
-            # fvct is constant within a topology epoch; compute it once.
-            if cached_fvct is None:
-                c = classify(g)
-                decomp = canonical_decomposition(adjacency_matrix(g), c)
-                cached_fvct = fvct_canonical(decomp, x)
-            if np.max(np.abs(x - cached_fvct)) < limit_tol:
-                traj.termination = Termination.TOLERANCE_REACHED
-                _record_final(traj, t, x, record_every)
-                return traj
-
-        x_next = adjacency_matrix(g) @ x
-        if fixed_tol > 0.0:
-            fixed = bool(np.max(np.abs(x_next - x)) <= fixed_tol)
-        else:
-            fixed = bool(np.array_equal(x_next, x))
+        x_next = epoch.matrix @ x
+        moved = float(np.max(np.abs(x_next - x)))
+        fixed = moved <= fixed_tol if fixed_tol > 0.0 else bool(np.array_equal(x_next, x))
         if fixed:
             traj.fixed_at = t + 1
+        if (
+            limit_tol > 0.0
+            and t > epoch.start
+            and moved < _LIMIT_MARGIN * limit_tol
+            and np.max(np.abs(x - epoch.fvct())) < limit_tol
+        ):
+            traj.termination = Termination.TOLERANCE_REACHED
+            _record_final(traj, t, x)
+            return traj
+        if fixed:
             traj.termination = Termination.FIXED_STATE
-            _record_final(traj, t + 1, x_next, record_every)
+            _record_final(traj, t + 1, x_next)
             return traj
         x = x_next
 
     traj.termination = Termination.MAX_STEPS
-    _record_final(traj, max_steps, x, record_every)
+    _record_final(traj, max_steps, x)
     return traj
 
 
-def _record_final(traj: Trajectory, t: int, x: np.ndarray, record_every: int) -> None:
+def _record_final(traj: Trajectory, t: int, x: np.ndarray) -> None:
     if traj.times and traj.times[-1] == t:
         return
     traj.times.append(t)

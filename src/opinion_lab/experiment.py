@@ -13,15 +13,12 @@ import hashlib
 import json
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from opinion_lab.graph import build_digraph, proximity_mask
-from opinion_lab.matrix import adjacency_matrix, canonical_decomposition, fvct_canonical
-from opinion_lab.graph import classify
+from opinion_lab.dynamics import Termination, simulate
 from opinion_lab.stability import (
     equi_topology_distance,
     in_neighborhood,
@@ -63,6 +60,8 @@ class ExperimentConfig:
             raise ValueError("bounds_range must be non-degenerate with lo >= 0")
         if self.check_every < 1:
             raise ValueError("check_every must be >= 1")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":
@@ -144,115 +143,81 @@ def draw_state(
     raise RuntimeError("could not draw a non-boundary state in 100 attempts")
 
 
-def _epoch_limit(state: OpinionState, x: np.ndarray):
-    """fvct plus the delta radii of its own neighborhood, for one epoch."""
-    g = build_digraph(state.with_opinions(x))
-    c = classify(g)
-    decomp = canonical_decomposition(adjacency_matrix(g), c)
-    a = adjacency_matrix(g)
-    f = fvct_canonical(decomp, x)
-    f_state = state.with_opinions(f)
-    eps_f = equi_topology_distance(f_state)
-    delta_f = invariant_equi_topology_distance(f_state, eps_f)
-    return a, f, f_state, delta_f
-
-
 def run_single(
     model: Model,
     n: int,
     run: int,
     cfg: ExperimentConfig,
 ) -> RunRecord:
-    """Simulate one random system, tracking the special-case entry time."""
+    """Simulate one random system, tracking the special-case entry time:
+    the first checked step whose state lies in the invariant equi-topology
+    neighborhood of its epoch's final value at constant topology."""
     seed = run_seed(cfg.seed, model, n, run)
     state = draw_state(
         model, n, run, cfg.seed, cfg.opinion_range, cfg.bounds_range
     )
-    x = np.array(state.opinions, dtype=float)
-
     tau: Optional[int] = None
-    fixed_at: Optional[int] = None
-    converged = False
-    current_mask = None
-    a = f = f_state = delta_f = None
+    last = None
+    neighborhood = (None, None, None)  # (epoch, fvct state, delta radii)
 
-    for t in range(cfg.max_steps):
-        mask = proximity_mask(state.with_opinions(x))
-        if current_mask is None or not np.array_equal(mask, current_mask):
-            current_mask = mask
-            a, f, f_state, delta_f = _epoch_limit(state, x)
-        if tau is None and t % cfg.check_every == 0:
-            if in_neighborhood(x, f_state, delta_f):
-                tau = t
-        x_next = a @ x
-        if np.array_equal(x_next, x):
-            fixed_at = t + 1
-            converged = True
-            break
-        if np.max(np.abs(x - f)) < cfg.limit_tol:
-            converged = True
-            break
-        x = x_next
+    def observe(t, x, epoch):
+        nonlocal tau, last, neighborhood
+        last = epoch
+        if tau is not None or t % cfg.check_every:
+            return
+        if neighborhood[0] is not epoch:
+            f_state = state.with_opinions(epoch.fvct())
+            eps_f = equi_topology_distance(f_state)
+            neighborhood = (epoch, f_state, invariant_equi_topology_distance(f_state, eps_f))
+        if in_neighborhood(x, neighborhood[1], neighborhood[2]):
+            tau = t
 
-    residual = float(np.max(np.abs(x - f))) if f is not None else float("nan")
+    # Recording every max_steps steps keeps just the first and final states.
+    traj = simulate(
+        state,
+        max_steps=cfg.max_steps,
+        record_every=cfg.max_steps,
+        limit_tol=cfg.limit_tol,
+        observer=observe,
+    )
     return RunRecord(
         model=Model(model),
         n=n,
         run=run,
         seed=seed,
         tau_condition=tau,
-        fixed_at=fixed_at,
-        converged=converged,
-        final_residual=residual,
+        fixed_at=traj.fixed_at,
+        converged=traj.termination is not Termination.MAX_STEPS,
+        final_residual=float(np.max(np.abs(traj.states[-1] - last.fvct()))),
     )
 
 
-def _worker_width() -> int:
-    raw = os.environ.get("OPINION_LAB_THREADS")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            log.warning("ignoring invalid OPINION_LAB_THREADS=%r", raw)
-    return os.cpu_count() or 1
-
-
 def run_campaign(cfg: ExperimentConfig) -> list:
-    """All (model, n, run) work items, order-independent and reproducible.
+    """All (model, n, run) work items, run in order and reproducible.
 
     Individual run failures are recorded as non-converged records rather
     than raised.
     """
-    items = [
-        (model, n, run)
-        for model in cfg.models
-        for n in cfg.agent_counts
-        for run in range(cfg.runs)
-    ]
-
-    def work(item):
-        model, n, run = item
-        try:
-            return run_single(model, n, run, cfg)
-        except Exception:
-            log.exception("run failed: model=%s n=%d run=%d", model, n, run)
-            return RunRecord(
-                model=Model(model),
-                n=n,
-                run=run,
-                seed=run_seed(cfg.seed, model, n, run),
-                tau_condition=None,
-                fixed_at=None,
-                converged=False,
-                final_residual=float("nan"),
-            )
-
-    width = _worker_width()
-    if width == 1:
-        records = [work(item) for item in items]
-    else:
-        with ThreadPoolExecutor(max_workers=width) as pool:
-            records = list(pool.map(work, items))
+    records = []
+    for model in cfg.models:
+        for n in cfg.agent_counts:
+            for run in range(cfg.runs):
+                try:
+                    records.append(run_single(model, n, run, cfg))
+                except Exception:
+                    log.exception("run failed: model=%s n=%d run=%d", model, n, run)
+                    records.append(
+                        RunRecord(
+                            model=Model(model),
+                            n=n,
+                            run=run,
+                            seed=run_seed(cfg.seed, model, n, run),
+                            tau_condition=None,
+                            fixed_at=None,
+                            converged=False,
+                            final_residual=float("nan"),
+                        )
+                    )
     records.sort(key=lambda rec: rec.coordinates)
     return records
 

@@ -31,12 +31,6 @@ class ProximityDigraph:
             if i not in nbrs:
                 raise ValueError(f"node {i} is missing its self-loop")
 
-    def edge_set(self) -> set:
-        return {(i, j) for i in range(self.n) for j in self.out_neighbors[i]}
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return j in self.out_neighbors[i]
-
     def to_json(self) -> dict:
         """Adjacency-list export, 0-based indices."""
         edges = sorted((i, j) for i in range(self.n) for j in self.out_neighbors[i])
@@ -110,14 +104,6 @@ def build_digraph(state: OpinionState, tol: float = 0.0) -> ProximityDigraph:
         tuple(int(j) for j in np.flatnonzero(row)) for row in mask
     )
     return ProximityDigraph(state.n, neighbors)
-
-
-def adjacency_mask(g: ProximityDigraph) -> np.ndarray:
-    """Boolean n-by-n edge matrix."""
-    mask = np.zeros((g.n, g.n), dtype=bool)
-    for i, nbrs in enumerate(g.out_neighbors):
-        mask[i, list(nbrs)] = True
-    return mask
 
 
 def strongly_connected_components(g: ProximityDigraph) -> list:
@@ -204,7 +190,9 @@ def classify(g: ProximityDigraph) -> Classification:
             )
             classes.append(SccClass.CLOSED if complete else SccClass.MODERATE)
 
-    open_wccs = _open_wccs(g, sccs, classes, scc_of)
+    open_wccs = weak_components(
+        g, (v for k, members in enumerate(sccs) if classes[k] is SccClass.OPEN for v in members)
+    )
     return Classification(
         sccs=tuple(tuple(m) for m in sccs),
         classes=tuple(classes),
@@ -214,15 +202,10 @@ def classify(g: ProximityDigraph) -> Classification:
     )
 
 
-def _open_wccs(g, sccs, classes, scc_of) -> tuple:
-    """WCCs of the subgraph induced on open-minded nodes."""
-    open_nodes = sorted(
-        v
-        for k, members in enumerate(sccs)
-        if classes[k] is SccClass.OPEN
-        for v in members
-    )
-    parent = {v: v for v in open_nodes}
+def weak_components(g: ProximityDigraph, nodes) -> tuple:
+    """WCCs of the subgraph induced on ``nodes``, each sorted ascending,
+    in order of their smallest member."""
+    parent = {v: v for v in nodes}
 
     def find(v):
         while parent[v] != v:
@@ -230,17 +213,16 @@ def _open_wccs(g, sccs, classes, scc_of) -> tuple:
             v = parent[v]
         return v
 
-    open_set = set(open_nodes)
-    for i in open_nodes:
+    for i in parent:
         for j in g.out_neighbors[i]:
-            if j in open_set:
+            if j in parent:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[max(ri, rj)] = min(ri, rj)
     groups: dict = {}
-    for v in open_nodes:
+    for v in sorted(parent):
         groups.setdefault(find(v), []).append(v)
-    return tuple(tuple(sorted(m)) for _, m in sorted(groups.items()))
+    return tuple(tuple(m) for _, m in sorted(groups.items()))
 
 
 def predecessors(g: ProximityDigraph, i: int) -> set:

@@ -9,8 +9,8 @@ from typing import Optional
 
 import numpy as np
 
-from opinion_lab.dynamics import Termination, Trajectory, digraph_hash
-from opinion_lab.graph import build_digraph, proximity_mask
+from opinion_lab.dynamics import Termination, Trajectory
+from opinion_lab.graph import build_digraph, proximity_mask, weak_components
 from opinion_lab.matrix import adjacency_matrix, fvct
 from opinion_lab.state import Model, OpinionState
 
@@ -73,10 +73,8 @@ def in_neighborhood(
 
 
 def check_equal_topology(y: np.ndarray, z_state: OpinionState) -> bool:
-    """Direct edge-set comparison of the digraphs at y and at z."""
-    gy = build_digraph(z_state.with_opinions(y))
-    gz = build_digraph(z_state)
-    return gy.out_neighbors == gz.out_neighbors
+    """Exact comparison of the proximity masks at y and at z."""
+    return bool(np.array_equal(proximity_mask(z_state.with_opinions(y)), proximity_mask(z_state)))
 
 
 def is_equilibrium(state: OpinionState, tol: float = 0.0) -> bool:
@@ -101,24 +99,7 @@ def is_agreement_vector(state: OpinionState) -> bool:
 
 def _weak_components(state: OpinionState) -> list:
     """WCCs of the full proximity digraph, sorted by smallest member."""
-    g = build_digraph(state)
-    parent = list(range(state.n))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for i in range(state.n):
-        for j in g.out_neighbors[i]:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    groups: dict = {}
-    for v in range(state.n):
-        groups.setdefault(find(v), []).append(v)
-    return [sorted(m) for _, m in sorted(groups.items())]
+    return [list(w) for w in weak_components(build_digraph(state), range(state.n))]
 
 
 @dataclass(frozen=True)
@@ -234,9 +215,9 @@ def check_limit_equilibrium(
         return LimitEquilibriumVerdict(x_inf, min_eps, False, None, None)
 
     tail_start = traj.topology_epochs[-1][0]
-    g_inf_hash = digraph_hash(build_digraph(inf_state))
+    inf_mask = proximity_mask(inf_state)
     topo_ok = all(
-        digraph_hash(build_digraph(traj.state_at_index(k))) == g_inf_hash
+        np.array_equal(proximity_mask(traj.state_at_index(k)), inf_mask)
         for k, t in enumerate(traj.times)
         if t >= tail_start
     )

@@ -70,3 +70,123 @@ def reachability_oracle(g):
     for _ in range(n.bit_length() + 1):
         reach = reach | (reach @ reach)
     return reach
+
+
+# --- Reference kernels: the stepping loops as they were before simulate
+# became the single kernel, kept to pin its outputs. ---------------------
+
+
+def reference_digraph_hash(g):
+    """Edge-by-edge sha256 of the digraph, truncated to 16 hex digits."""
+    import hashlib
+
+    h = hashlib.sha256()
+    h.update(g.n.to_bytes(8, "little"))
+    for i in range(g.n):
+        for j in g.out_neighbors[i]:
+            h.update(i.to_bytes(4, "little"))
+            h.update(j.to_bytes(4, "little"))
+    return h.hexdigest()[:16]
+
+
+def reference_simulate(state, max_steps, fixed_tol=0.0, record_every=1, limit_tol=1e-12):
+    """Rebuilds and hashes the digraph every step; checks the tolerance
+    (against the fvct of the epoch's second state) before stepping, and
+    reports fixed_at only for a fixed-state stop."""
+    from opinion_lab import Termination, Trajectory, adjacency_matrix, build_digraph, classify
+    from opinion_lab.matrix import canonical_decomposition, fvct_canonical
+
+    def record_final(traj, t, x):
+        if not traj.times or traj.times[-1] != t:
+            traj.times.append(t)
+            traj.states.append(np.array(x, dtype=float))
+
+    x = np.array(state.opinions, dtype=float)
+    traj = Trajectory(bounds=state.bounds, kind=state.kind)
+    current_hash = cached_fvct = None
+    for t in range(max_steps):
+        g = build_digraph(state.with_opinions(x))
+        h = reference_digraph_hash(g)
+        if h != current_hash:
+            traj.topology_epochs.append((t, h))
+            current_hash = h
+            cached_fvct = None
+        if t % record_every == 0:
+            traj.times.append(t)
+            traj.states.append(x.copy())
+        if limit_tol > 0.0 and t > traj.topology_epochs[-1][0]:
+            if cached_fvct is None:
+                decomp = canonical_decomposition(adjacency_matrix(g), classify(g))
+                cached_fvct = fvct_canonical(decomp, x)
+            if np.max(np.abs(x - cached_fvct)) < limit_tol:
+                traj.termination = Termination.TOLERANCE_REACHED
+                record_final(traj, t, x)
+                return traj
+        x_next = adjacency_matrix(g) @ x
+        if fixed_tol > 0.0:
+            fixed = bool(np.max(np.abs(x_next - x)) <= fixed_tol)
+        else:
+            fixed = bool(np.array_equal(x_next, x))
+        if fixed:
+            traj.fixed_at = t + 1
+            traj.termination = Termination.FIXED_STATE
+            record_final(traj, t + 1, x_next)
+            return traj
+        x = x_next
+    traj.termination = Termination.MAX_STEPS
+    record_final(traj, max_steps, x)
+    return traj
+
+
+def reference_run_single(model, n, run, cfg):
+    """Mask-compared epochs with an eager per-epoch limit and delta radii;
+    the fixed check comes before the tolerance check at every step."""
+    from opinion_lab import (
+        RunRecord,
+        adjacency_matrix,
+        build_digraph,
+        classify,
+        draw_state,
+        equi_topology_distance,
+        in_neighborhood,
+        invariant_equi_topology_distance,
+        run_seed,
+    )
+    from opinion_lab.graph import proximity_mask
+    from opinion_lab.matrix import canonical_decomposition, fvct_canonical
+
+    state = draw_state(model, n, run, cfg.seed, cfg.opinion_range, cfg.bounds_range)
+    x = np.array(state.opinions, dtype=float)
+    tau = fixed_at = None
+    converged = False
+    current_mask = a = f = f_state = delta_f = None
+    for t in range(cfg.max_steps):
+        mask = proximity_mask(state.with_opinions(x))
+        if current_mask is None or not np.array_equal(mask, current_mask):
+            current_mask = mask
+            g = build_digraph(state.with_opinions(x))
+            a = adjacency_matrix(g)
+            f = fvct_canonical(canonical_decomposition(a, classify(g)), x)
+            f_state = state.with_opinions(f)
+            delta_f = invariant_equi_topology_distance(f_state, equi_topology_distance(f_state))
+        if tau is None and t % cfg.check_every == 0 and in_neighborhood(x, f_state, delta_f):
+            tau = t
+        x_next = a @ x
+        if np.array_equal(x_next, x):
+            fixed_at = t + 1
+            converged = True
+            break
+        if np.max(np.abs(x - f)) < cfg.limit_tol:
+            converged = True
+            break
+        x = x_next
+    return RunRecord(
+        model=Model(model),
+        n=n,
+        run=run,
+        seed=run_seed(cfg.seed, model, n, run),
+        tau_condition=tau,
+        fixed_at=fixed_at,
+        converged=converged,
+        final_residual=float(np.max(np.abs(x - f))),
+    )

@@ -153,6 +153,31 @@ class TestOtherCommands:
         out = json.loads(capsys.readouterr().out)
         assert len(out["leaders"]["open_sccs"]) == 1
 
+    def test_analyze_short_final_epoch_omits_rates(self, tmp_path, capsys):
+        # The run takes 11 steps, but its last topology change comes one
+        # step before the end: too few states for the rate window.
+        path = tmp_path / "late_change.json"
+        path.write_text(
+            json.dumps({"opinions": [0.03, 0.45, 0.81], "bounds": [0.31, 0.07, 0.45]})
+        )
+        rc = main(["analyze", "--state", str(path)])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert "rates" not in out
+        assert out["pseudo_stable"]["holds_from"] is not None
+
+    def test_loaded_trajectory_keeps_epochs(self, tmp_path, capsys):
+        path = tmp_path / "late_change.json"
+        path.write_text(
+            json.dumps({"opinions": [0.03, 0.45, 0.81], "bounds": [0.31, 0.07, 0.45]})
+        )
+        prefix = str(tmp_path / "run")
+        main(["simulate", "--state", str(path), "--out-prefix", prefix])
+        events = json.loads(capsys.readouterr().out)
+        loaded = load_trajectory_csv(prefix + "_trajectory.csv", load_state(str(path), "sbc"))
+        assert len(events["epochs"]) > 1
+        assert [{"t": t, "hash": h} for t, h in loaded.topology_epochs] == events["epochs"]
+
     def test_trajectory_loader_validates(self, three_agent_json, tmp_path):
         state = load_state(three_agent_json, "sbc")
         bad = tmp_path / "bad.csv"

@@ -16,7 +16,15 @@ from opinion_lab import (
 )
 from opinion_lab.stability import _weak_components
 
-from conftest import random_state
+from conftest import random_state, reference_digraph_hash, reference_simulate
+
+
+def test_digraph_hash_matches_edge_by_edge_reference(fig41_state):
+    assert digraph_hash(build_digraph(fig41_state)) == "5e625a2a4fe11b6b"
+    rng = np.random.default_rng(61)
+    for _ in range(30):
+        g = build_digraph(random_state(rng, max_n=15))
+        assert digraph_hash(g) == reference_digraph_hash(g)
 
 
 class TestStep:
@@ -125,6 +133,57 @@ class TestSimulate:
         traj = simulate(fig41_state, max_steps=100, record_every=5)
         assert all(t % 5 == 0 or t == traj.times[-1] for t in traj.times)
         assert traj.topology_epochs[0][0] == 0
+
+    @pytest.mark.parametrize("limit_tol", [0.0, 1e-6, 1e-12])
+    @pytest.mark.parametrize("record_every", [1, 5])
+    def test_matches_reference_loop(self, limit_tol, record_every):
+        rng = np.random.default_rng(89)
+        for _ in range(25):
+            state = random_state(rng, max_n=12)
+            got = simulate(state, max_steps=300, record_every=record_every, limit_tol=limit_tol)
+            want = reference_simulate(state, 300, record_every=record_every, limit_tol=limit_tol)
+            assert got.times == want.times
+            assert [x.tobytes() for x in got.states] == [x.tobytes() for x in want.states]
+            assert got.topology_epochs == want.topology_epochs
+            assert got.termination is want.termination
+            if want.fixed_at is not None or got.fixed_at is None:
+                assert got.fixed_at == want.fixed_at
+            else:
+                # Newly reported: a tolerance stop whose next step would
+                # leave the state bitwise unchanged.
+                assert got.termination is Termination.TOLERANCE_REACHED
+                assert got.fixed_at == got.times[-1] + 1
+                assert np.array_equal(step(got.final_state()), got.states[-1])
+
+    def test_digraph_built_once_per_epoch(self, monkeypatch):
+        from opinion_lab import dynamics
+
+        calls = []
+
+        def counted(state):
+            calls.append(state)
+            return build_digraph(state)
+
+        monkeypatch.setattr(dynamics, "build_digraph", counted)
+        state = OpinionState([0.03, 0.45, 0.81], [0.31, 0.07, 0.45], Model.SBC)
+        traj = simulate(state)
+        assert len(traj.topology_epochs) > 1
+        assert len(calls) == len(traj.topology_epochs) < traj.times[-1]
+
+    def test_observer_sees_every_step_with_its_epoch(self, fig62_state):
+        seen = []
+        traj = simulate(
+            fig62_state,
+            max_steps=400,
+            limit_tol=0.0,
+            observer=lambda t, x, epoch: seen.append((t, x.copy(), epoch.start, epoch.label)),
+        )
+        assert traj.termination is Termination.FIXED_STATE
+        assert [t for t, *_ in seen] == list(range(traj.times[-1]))
+        assert [x.tobytes() for _, x, *_ in seen] == [x.tobytes() for x in traj.states[:-1]]
+        starts = dict(traj.topology_epochs)
+        for t, _, start, label in seen:
+            assert start <= t and starts[start] == label
 
     def test_rejects_bad_options(self, fig41_state):
         with pytest.raises(ValueError):

@@ -17,6 +17,8 @@ from opinion_lab import (
 from opinion_lab.experiment import RunRecord
 from opinion_lab.stability import equi_topology_distance, in_neighborhood
 
+from conftest import reference_run_single
+
 
 def small_config(**overrides):
     base = dict(
@@ -51,6 +53,8 @@ class TestConfig:
             ExperimentConfig(agent_counts=(5,), bounds_range=(-0.1, 0.3))
         with pytest.raises(ValueError):
             ExperimentConfig(agent_counts=(0,))
+        with pytest.raises(ValueError):
+            ExperimentConfig(agent_counts=(5,), max_steps=0)
 
     def test_from_json_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -129,6 +133,26 @@ class TestRunSingle:
             eps_f = equi_topology_distance(f_state)
             delta_f = invariant_equi_topology_distance(f_state, eps_f)
             assert in_neighborhood(x, f_state, delta_f)
+
+    @pytest.mark.parametrize("check_every", [1, 3])
+    def test_records_match_reference_loop(self, check_every):
+        cfg = small_config(check_every=check_every)
+        for model in cfg.models:
+            for n in cfg.agent_counts:
+                for run in range(cfg.runs):
+                    want = reference_run_single(model, n, run, cfg)
+                    assert run_single(model, n, run, cfg) == want
+
+    def test_simulate_reports_the_same_fixed_step(self):
+        from opinion_lab import simulate
+
+        cfg = small_config()
+        for model in cfg.models:
+            for n in cfg.agent_counts:
+                for run in range(cfg.runs):
+                    state = draw_state(model, n, run, cfg.seed)
+                    traj = simulate(state, max_steps=cfg.max_steps, limit_tol=cfg.limit_tol)
+                    assert traj.fixed_at == run_single(model, n, run, cfg).fixed_at
 
     def test_most_small_runs_converge(self):
         cfg = small_config()
