@@ -171,7 +171,7 @@ def cmd_analyze(args) -> int:
                 "deviation": v.deviation,
                 "excluded": v.excluded,
             }
-            for v in verify_rate_prediction(traj, la, window=window)
+            for v in verify_rate_prediction(traj, c, f, la, window=window)
         ]
     report["directions"] = [
         {
@@ -180,7 +180,7 @@ def cmd_analyze(args) -> int:
             "applicable": v.applicable,
             "matches_from": v.matches_from,
         }
-        for v in verify_direction_prediction(traj, la)
+        for v in verify_direction_prediction(traj, c, f, la)
     ]
     if len(traj.times) >= 2 and traj.is_dense():
         verdict = pseudo_stable_check(traj, f)

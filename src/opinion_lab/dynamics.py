@@ -9,7 +9,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -49,7 +49,8 @@ class Trajectory:
     ``times[k]`` is the step at which ``states[k]`` was recorded; recording
     is dense when ``record_every=1``.  ``topology_epochs`` holds
     ``(start_time, hash)`` for every digraph change, recorded exactly even
-    when states are downsampled.
+    when states are downsampled.  ``final_epoch`` is the last ``Epoch``
+    simulated; it is not serialised (``None`` for a loaded trajectory).
     """
 
     bounds: np.ndarray
@@ -59,6 +60,7 @@ class Trajectory:
     topology_epochs: list = field(default_factory=list)
     fixed_at: Optional[int] = None
     termination: Termination = Termination.MAX_STEPS
+    final_epoch: Optional[Epoch] = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -135,13 +137,12 @@ def simulate(
     fixed_tol: float = 0.0,
     record_every: int = 1,
     limit_tol: float = 1e-12,
-    observer: Optional[Callable[[int, np.ndarray, Epoch], None]] = None,
 ) -> Trajectory:
     """Iterate the averaging rule, tracking topology epochs and termination.
 
     A new epoch starts whenever the proximity mask differs from the current
-    epoch's.  At step t, ``observer(t, x, epoch)`` (if given) sees the state
-    before any check; it must not modify ``x``.  Then, with ``x' = A x``:
+    epoch's; the last one is left on the trajectory as ``final_epoch``.  At
+    step t, with ``x' = A x``:
 
     - ``fixed_at`` is set to t+1 when ``x'`` equals ``x`` bitwise (or
       within ``fixed_tol`` if set above zero);
@@ -169,12 +170,11 @@ def simulate(
             g = build_digraph(now)
             epoch = Epoch(t, now.opinions, mask, g, digraph_hash(g), adjacency_matrix(g))
             traj.topology_epochs.append((t, epoch.label))
+            traj.final_epoch = epoch
 
         if t % record_every == 0:
             traj.times.append(t)
             traj.states.append(x.copy())
-        if observer is not None:
-            observer(t, x, epoch)
 
         x_next = epoch.matrix @ x
         moved = float(np.max(np.abs(x_next - x)))

@@ -149,37 +149,36 @@ def run_single(
     run: int,
     cfg: ExperimentConfig,
 ) -> RunRecord:
-    """Simulate one random system, tracking the special-case entry time:
-    the first checked step whose state lies in the invariant equi-topology
-    neighborhood of its epoch's final value at constant topology."""
+    """Simulate one random system and find τ, the first checked step
+    (``t % check_every == 0``) whose state lies in the invariant
+    equi-topology neighborhood of its epoch's final value at constant
+    topology.  That neighborhood is positively invariant, so τ can only fall
+    in the final epoch, which is replayed with its own matrix (the simulated
+    states, bit for bit) up to the last step whose checks ran."""
     seed = run_seed(cfg.seed, model, n, run)
     state = draw_state(
         model, n, run, cfg.seed, cfg.opinion_range, cfg.bounds_range
     )
-    tau: Optional[int] = None
-    last = None
-    neighborhood = (None, None, None)  # (epoch, fvct state, delta radii)
-
-    def observe(t, x, epoch):
-        nonlocal tau, last, neighborhood
-        last = epoch
-        if tau is not None or t % cfg.check_every:
-            return
-        if neighborhood[0] is not epoch:
-            f_state = state.with_opinions(epoch.fvct())
-            eps_f = equi_topology_distance(f_state)
-            neighborhood = (epoch, f_state, invariant_equi_topology_distance(f_state, eps_f))
-        if in_neighborhood(x, neighborhood[1], neighborhood[2]):
-            tau = t
-
     # Recording every max_steps steps keeps just the first and final states.
     traj = simulate(
         state,
         max_steps=cfg.max_steps,
         record_every=cfg.max_steps,
         limit_tol=cfg.limit_tol,
-        observer=observe,
     )
+    epoch = traj.final_epoch
+    f_state = state.with_opinions(epoch.fvct())
+    delta = invariant_equi_topology_distance(f_state, equi_topology_distance(f_state))
+    # A tolerance stop checks its final step; a fixed or max_steps stop
+    # records one step past its last check.
+    stop = traj.times[-1] + (traj.termination is Termination.TOLERANCE_REACHED)
+    tau = None
+    x = epoch.first_state
+    for t in range(epoch.start, stop):
+        if t % cfg.check_every == 0 and in_neighborhood(x, f_state, delta):
+            tau = t
+            break
+        x = epoch.matrix @ x
     return RunRecord(
         model=Model(model),
         n=n,
@@ -188,7 +187,7 @@ def run_single(
         tau_condition=tau,
         fixed_at=traj.fixed_at,
         converged=traj.termination is not Termination.MAX_STEPS,
-        final_residual=float(np.max(np.abs(traj.states[-1] - last.fvct()))),
+        final_residual=float(np.max(np.abs(traj.states[-1] - epoch.fvct()))),
     )
 
 

@@ -190,9 +190,10 @@ def classify(g: ProximityDigraph) -> Classification:
             )
             classes.append(SccClass.CLOSED if complete else SccClass.MODERATE)
 
-    open_wccs = weak_components(
-        g, (v for k, members in enumerate(sccs) if classes[k] is SccClass.OPEN for v in members)
-    )
+    # Open WCCs group the open SCCs joined by condensation edges.
+    open_ids = [k for k, tag in enumerate(classes) if tag is SccClass.OPEN]
+    groups = weak_components(cond_edges, open_ids)
+    open_wccs = tuple(sorted(tuple(sorted(v for k in w for v in sccs[k])) for w in groups))
     return Classification(
         sccs=tuple(tuple(m) for m in sccs),
         classes=tuple(classes),
@@ -202,9 +203,9 @@ def classify(g: ProximityDigraph) -> Classification:
     )
 
 
-def weak_components(g: ProximityDigraph, nodes) -> tuple:
-    """WCCs of the subgraph induced on ``nodes``, each sorted ascending,
-    in order of their smallest member."""
+def weak_components(out_neighbors, nodes) -> tuple:
+    """WCCs of the subgraph induced on ``nodes`` (``out_neighbors[v]`` lists
+    v's out-neighbors), each sorted ascending, in order of smallest member."""
     parent = {v: v for v in nodes}
 
     def find(v):
@@ -214,7 +215,7 @@ def weak_components(g: ProximityDigraph, nodes) -> tuple:
         return v
 
     for i in parent:
-        for j in g.out_neighbors[i]:
+        for j in out_neighbors[i]:
             if j in parent:
                 ri, rj = find(i), find(j)
                 if ri != rj:

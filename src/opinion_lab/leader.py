@@ -58,23 +58,20 @@ class LeaderAssignment:
 def leader_assignment(
     c: Classification, d: CanonicalDecomposition
 ) -> LeaderAssignment:
-    """Compute open-successor sets by condensation reachability and pick
-    each SCC's leader by largest spectral radius."""
+    """Compute open-successor sets by condensation reachability in one pass
+    and pick each SCC's leader by largest spectral radius."""
     radii = {}
     for k, sl in d.open_block_slices():
         radii[k] = spectral_radius(d.Theta[sl, sl])
 
-    open_set = set(d.open_sccs)
+    # SCCs are in reverse topological order, so every successor m of k has
+    # m < k: in ascending order an open m's set is complete before k's, and
+    # a closed or moderate m has no set and adds nothing.
     successor_sets = {}
-    for k in d.open_sccs:
+    for k in sorted(d.open_sccs):
         reach = {k}
-        frontier = [k]
-        while frontier:
-            v = frontier.pop()
-            for m in c.condensation[v]:
-                if m in open_set and m not in reach:
-                    reach.add(m)
-                    frontier.append(m)
+        for m in c.condensation[k]:
+            reach.update(successor_sets.get(m, ()))
         successor_sets[k] = reach
 
     leaders = {}
@@ -133,10 +130,11 @@ class RateVerdict:
 
 
 def verify_rate_prediction(
-    traj: Trajectory, la: LeaderAssignment, window: int = 10
+    traj: Trajectory, c: Classification, f: np.ndarray, la: LeaderAssignment, window: int = 10
 ) -> list:
     """Compare end-of-window per-step factors of open-minded agents against
-    their leader's spectral radius.
+    their leader's spectral radius.  ``c``, ``f`` and ``la`` are the final
+    topology's pieces from ``analyze_final_topology``.
 
     Agents whose residual to the constant-topology limit has fallen below
     the tracking floor are flagged excluded rather than scored.
@@ -144,7 +142,6 @@ def verify_rate_prediction(
     if window < 10:
         raise ValueError("window must be >= 10 steps")
     idx = _constant_topology_indices(traj, window)
-    _, c, _, f, _ = analyze_final_topology(traj)
 
     x_prev = traj.states[idx[-2]]
     x_last = traj.states[idx[-1]]
@@ -174,17 +171,16 @@ class DirectionVerdict:
 
 
 def verify_direction_prediction(
-    traj: Trajectory, la: LeaderAssignment
+    traj: Trajectory, c: Classification, f: np.ndarray, la: LeaderAssignment
 ) -> list:
     """For followers with strictly smaller radius than their leader, find
     the earliest recorded time after which the followers' residual signs
-    agree with the leader's.
+    agree with the leader's (``c``, ``f``, ``la`` as for the rate check).
 
     Pairs with equal spectral radii are reported as not applicable.
     """
     if not traj.is_dense():
         raise ValueError("direction analysis needs densely recorded trajectories")
-    _, c, _, f, _ = analyze_final_topology(traj)
     tail_start = traj.topology_epochs[-1][0]
     start_idx = next(
         k for k, t in enumerate(traj.times) if t >= tail_start

@@ -99,7 +99,7 @@ def is_agreement_vector(state: OpinionState) -> bool:
 
 def _weak_components(state: OpinionState) -> list:
     """WCCs of the full proximity digraph, sorted by smallest member."""
-    return [list(w) for w in weak_components(build_digraph(state), range(state.n))]
+    return [list(w) for w in weak_components(build_digraph(state).out_neighbors, range(state.n))]
 
 
 @dataclass(frozen=True)

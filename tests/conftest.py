@@ -72,6 +72,29 @@ def reachability_oracle(g):
     return reach
 
 
+def open_wccs_oracle(g, c):
+    """Open WCCs by union-find over every node-level edge between open
+    nodes, each sorted ascending, in order of their smallest member."""
+    from opinion_lab import SccClass
+
+    parent = {v: v for v in c.nodes_of_class(SccClass.OPEN)}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for i in parent:
+        for j in g.out_neighbors[i]:
+            if j in parent:
+                ri, rj = find(i), find(j)
+                parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for v in sorted(parent):
+        groups.setdefault(find(v), []).append(v)
+    return tuple(tuple(m) for _, m in sorted(groups.items()))
+
+
 # --- Reference kernels: the stepping loops as they were before simulate
 # became the single kernel, kept to pin its outputs. ---------------------
 

@@ -129,7 +129,7 @@ def produce_artifacts(out_dir):
         )[7]
         if fac is not None:
             factors[traj2.times[k]] = fac
-    directions = verify_direction_prediction(traj2, la2)
+    directions = verify_direction_prediction(traj2, c2, f2, la2)
     data["c2"] = {
         "classification": c2,
         "decomp": d2,

@@ -134,6 +134,26 @@ class TestOtherCommands:
         assert out["pseudo_stable"]["holds_from"] == 0
         assert out["pseudo_stable"]["converging_set"] == [1]
 
+    def test_analyze_builds_the_final_topology_once(
+        self, three_agent_json, monkeypatch, capsys
+    ):
+        from opinion_lab import cli, leader
+
+        original = leader.analyze_final_topology
+        calls = []
+
+        def counted(traj):
+            calls.append(traj)
+            return original(traj)
+
+        monkeypatch.setattr(cli, "analyze_final_topology", counted)
+        monkeypatch.setattr(leader, "analyze_final_topology", counted)
+        rc = main(["analyze", "--state", three_agent_json])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        assert "rates" in out and "directions" in out
+        assert len(calls) == 1
+
     def test_analyze_from_saved_trajectory(
         self, three_agent_json, tmp_path, capsys
     ):
@@ -177,6 +197,7 @@ class TestOtherCommands:
         loaded = load_trajectory_csv(prefix + "_trajectory.csv", load_state(str(path), "sbc"))
         assert len(events["epochs"]) > 1
         assert [{"t": t, "hash": h} for t, h in loaded.topology_epochs] == events["epochs"]
+        assert loaded.final_epoch is None
 
     def test_trajectory_loader_validates(self, three_agent_json, tmp_path):
         state = load_state(three_agent_json, "sbc")

@@ -145,6 +145,7 @@ class TestSimulate:
             assert got.times == want.times
             assert [x.tobytes() for x in got.states] == [x.tobytes() for x in want.states]
             assert got.topology_epochs == want.topology_epochs
+            assert (got.final_epoch.start, got.final_epoch.label) == got.topology_epochs[-1]
             assert got.termination is want.termination
             if want.fixed_at is not None or got.fixed_at is None:
                 assert got.fixed_at == want.fixed_at
@@ -169,21 +170,6 @@ class TestSimulate:
         traj = simulate(state)
         assert len(traj.topology_epochs) > 1
         assert len(calls) == len(traj.topology_epochs) < traj.times[-1]
-
-    def test_observer_sees_every_step_with_its_epoch(self, fig62_state):
-        seen = []
-        traj = simulate(
-            fig62_state,
-            max_steps=400,
-            limit_tol=0.0,
-            observer=lambda t, x, epoch: seen.append((t, x.copy(), epoch.start, epoch.label)),
-        )
-        assert traj.termination is Termination.FIXED_STATE
-        assert [t for t, *_ in seen] == list(range(traj.times[-1]))
-        assert [x.tobytes() for _, x, *_ in seen] == [x.tobytes() for x in traj.states[:-1]]
-        starts = dict(traj.topology_epochs)
-        for t, _, start, label in seen:
-            assert start <= t and starts[start] == label
 
     def test_rejects_bad_options(self, fig41_state):
         with pytest.raises(ValueError):

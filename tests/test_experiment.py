@@ -15,7 +15,11 @@ from opinion_lab import (
     run_single,
 )
 from opinion_lab.experiment import RunRecord
-from opinion_lab.stability import equi_topology_distance, in_neighborhood
+from opinion_lab.stability import (
+    equi_topology_distance,
+    in_neighborhood,
+    invariant_equi_topology_distance,
+)
 
 from conftest import reference_run_single
 
@@ -98,6 +102,9 @@ class TestSeedsAndDraws:
             assert equi_topology_distance(state).min() > 0.0
 
 
+EDGE_NS = dict(agent_counts=(1, 4, 7, 30))
+
+
 class TestRunSingle:
     def test_single_agent_trivial_record(self):
         cfg = small_config()
@@ -115,7 +122,6 @@ class TestRunSingle:
     def test_tau_marks_neighborhood_entry(self):
         # Replay the recorded run and confirm the reported entry time.
         from opinion_lab import fvct, simulate
-        from opinion_lab.stability import invariant_equi_topology_distance
 
         cfg = small_config()
         for run in range(4):
@@ -134,14 +140,44 @@ class TestRunSingle:
             delta_f = invariant_equi_topology_distance(f_state, eps_f)
             assert in_neighborhood(x, f_state, delta_f)
 
-    @pytest.mark.parametrize("check_every", [1, 3])
-    def test_records_match_reference_loop(self, check_every):
-        cfg = small_config(check_every=check_every)
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            pytest.param(dict(check_every=1), id="1"),
+            pytest.param(dict(check_every=3), id="3"),
+            # Stop-rule edges: max_steps stops before and between checks,
+            # no tolerance stop, and a loose one.
+            pytest.param(dict(EDGE_NS, max_steps=3), id="max_steps_3"),
+            pytest.param(dict(EDGE_NS, max_steps=17, check_every=4), id="max_steps_17_check_4"),
+            pytest.param(dict(EDGE_NS, limit_tol=0.0), id="limit_tol_0"),
+            pytest.param(dict(EDGE_NS, limit_tol=0.0, check_every=3), id="limit_tol_0_check_3"),
+            pytest.param(dict(EDGE_NS, limit_tol=1e-6), id="limit_tol_1e-6"),
+        ],
+    )
+    def test_records_match_reference_loop(self, overrides):
+        cfg = small_config(**overrides)
         for model in cfg.models:
             for n in cfg.agent_counts:
                 for run in range(cfg.runs):
                     want = reference_run_single(model, n, run, cfg)
                     assert run_single(model, n, run, cfg) == want
+
+    def test_delta_radii_computed_once_per_run(self, monkeypatch):
+        from opinion_lab import experiment
+
+        calls = []
+
+        def counted(state, eps):
+            calls.append(state)
+            return invariant_equi_topology_distance(state, eps)
+
+        monkeypatch.setattr(experiment, "invariant_equi_topology_distance", counted)
+        cfg = small_config(agent_counts=(30,), runs=2)
+        for model in cfg.models:
+            for run in range(cfg.runs):
+                calls.clear()
+                run_single(model, 30, run, cfg)
+                assert len(calls) == 1
 
     def test_simulate_reports_the_same_fixed_step(self):
         from opinion_lab import simulate

@@ -8,11 +8,12 @@ from opinion_lab import (
     build_digraph,
     classify,
     predecessors,
+    simulate,
     strongly_connected_components,
 )
 from opinion_lab.graph import ProximityDigraph
 
-from conftest import digraph_oracle, random_state, reachability_oracle
+from conftest import digraph_oracle, open_wccs_oracle, random_state, reachability_oracle
 
 
 def complete_digraph(n):
@@ -171,6 +172,19 @@ class TestClassify:
             # Sinks are exactly the non-open components.
             for k, cl in enumerate(c.classes):
                 assert (len(c.condensation[k]) == 0) == (cl is not SccClass.OPEN)
+
+    def test_open_wccs_match_node_level_oracle(self):
+        rng = np.random.default_rng(31)
+        states = [random_state(rng, max_n=40, bounds_hi=0.2) for _ in range(300)]
+        # The first state of every epoch of some runs: clustered late states.
+        for _ in range(20):
+            traj = simulate(random_state(rng, n=30, bounds_hi=0.2), max_steps=500)
+            starts = [t for t, _ in traj.topology_epochs]
+            states.extend(traj.state_at_index(traj.times.index(t)) for t in starts)
+        for state in states:
+            g = build_digraph(state)
+            c = classify(g)
+            assert c.open_wccs == open_wccs_oracle(g, c)
 
     def test_every_condensation_wcc_has_a_sink(self):
         rng = np.random.default_rng(29)

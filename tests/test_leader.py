@@ -21,7 +21,7 @@ from opinion_lab.leader import (
     verify_rate_prediction,
 )
 
-from conftest import random_state
+from conftest import random_state, reachability_oracle
 
 
 def anchored_state(rng):
@@ -73,6 +73,19 @@ class TestLeaderAssignment:
         assert by_members[(4, 5)] == {ids[(4, 5)]}
         assert by_members[(6,)] == {ids[(6,)]}
         assert by_members[(7,)] == {ids[(4, 5)], ids[(6,)], ids[(7,)]}
+
+    def test_successor_sets_match_reachability_oracle(self):
+        # Closed and moderate SCCs are sinks, so the open SCCs an open SCC
+        # reaches are exactly its open successors.
+        rng = np.random.default_rng(151)
+        for _ in range(200):
+            state = random_state(rng, max_n=25, bounds_hi=0.2)
+            g = build_digraph(state)
+            c, la = assign(state)
+            reach = reachability_oracle(g)
+            for k in la.open_sccs:
+                want = {m for m in la.open_sccs if reach[c.sccs[k][0], c.sccs[m][0]]}
+                assert la.successor_sets[k] == want
 
     def test_three_agent_single_open_scc(self, fig41_state):
         c, la = assign(fig41_state)
@@ -137,8 +150,8 @@ class TestAnalyzeFinalTopology:
 class TestRatePrediction:
     def test_eight_agent_factors(self, fig62_state):
         traj = simulate(fig62_state, max_steps=36, limit_tol=0.0)
-        _, _, _, _, la = analyze_final_topology(traj)
-        verdicts = {v.agent: v for v in verify_rate_prediction(traj, la)}
+        _, c, _, f, la = analyze_final_topology(traj)
+        verdicts = {v.agent: v for v in verify_rate_prediction(traj, c, f, la)}
         assert verdicts[4].factor == pytest.approx(0.5, abs=1e-3)
         assert verdicts[5].factor == pytest.approx(0.5, abs=1e-3)
         # Agent 7 converges at its leader's rate, five per-step factors
@@ -149,33 +162,33 @@ class TestRatePrediction:
 
     def test_fast_agent_factor_earlier_window(self, fig62_state):
         traj = simulate(fig62_state, max_steps=25, limit_tol=0.0)
-        _, _, _, _, la = analyze_final_topology(traj)
-        verdicts = {v.agent: v for v in verify_rate_prediction(traj, la)}
+        _, c, _, f, la = analyze_final_topology(traj)
+        verdicts = {v.agent: v for v in verify_rate_prediction(traj, c, f, la)}
         assert verdicts[6].factor == pytest.approx(1 / 3, abs=1e-3)
 
     def test_underflowed_agents_are_excluded(self, fig62_state):
         traj = simulate(fig62_state, max_steps=300, limit_tol=0.0)
-        _, _, _, _, la = analyze_final_topology(traj)
-        verdicts = verify_rate_prediction(traj, la)
+        _, c, _, f, la = analyze_final_topology(traj)
+        verdicts = verify_rate_prediction(traj, c, f, la)
         assert all(v.excluded and v.factor is None for v in verdicts)
 
     def test_three_agent_rate(self, fig41_state):
         traj = simulate(fig41_state, max_steps=20, limit_tol=0.0)
-        _, _, _, _, la = analyze_final_topology(traj)
-        (v,) = verify_rate_prediction(traj, la)
+        _, c, _, f, la = analyze_final_topology(traj)
+        (v,) = verify_rate_prediction(traj, c, f, la)
         assert v.agent == 1
         assert v.factor == pytest.approx(1 / 3, abs=1e-6)
 
     def test_window_validation(self, fig41_state):
         traj = simulate(fig41_state, max_steps=100)
-        _, _, _, _, la = analyze_final_topology(traj)
+        _, c, _, f, la = analyze_final_topology(traj)
         with pytest.raises(ValueError):
-            verify_rate_prediction(traj, la, window=5)
+            verify_rate_prediction(traj, c, f, la, window=5)
         with pytest.raises(ValueError):
-            verify_rate_prediction(traj, la, window=10**6)
+            verify_rate_prediction(traj, c, f, la, window=10**6)
         sparse = simulate(fig41_state, max_steps=100, record_every=3)
         with pytest.raises(ValueError):
-            verify_rate_prediction(sparse, la, window=10)
+            verify_rate_prediction(sparse, c, f, la, window=10)
 
     def test_random_rates_match_leader_radius(self):
         # Stubborn anchors with wide-bound followers give long constant
@@ -188,8 +201,8 @@ class TestRatePrediction:
             tail = traj.times[-1] - traj.topology_epochs[-1][0]
             if tail < 12 or traj.fixed_at is not None:
                 continue
-            _, _, _, _, la = analyze_final_topology(traj)
-            for v in verify_rate_prediction(traj, la, window=10):
+            _, c, _, f, la = analyze_final_topology(traj)
+            for v in verify_rate_prediction(traj, c, f, la, window=10):
                 if v.excluded:
                     continue
                 checked += 1
@@ -200,8 +213,8 @@ class TestRatePrediction:
 class TestDirectionPrediction:
     def test_eight_agent_follower_tracks_leader(self, fig62_state):
         traj = simulate(fig62_state, max_steps=50, limit_tol=0.0)
-        _, c, _, _, la = analyze_final_topology(traj)
-        verdicts = verify_direction_prediction(traj, la)
+        _, c, _, f, la = analyze_final_topology(traj)
+        verdicts = verify_direction_prediction(traj, c, f, la)
         assert len(verdicts) == 1
         (v,) = verdicts
         assert c.sccs[v.follower_id] == (7,)
@@ -212,14 +225,14 @@ class TestDirectionPrediction:
 
     def test_self_led_sccs_produce_no_verdicts(self, fig41_state):
         traj = simulate(fig41_state, max_steps=50)
-        _, _, _, _, la = analyze_final_topology(traj)
-        assert verify_direction_prediction(traj, la) == []
+        _, c, _, f, la = analyze_final_topology(traj)
+        assert verify_direction_prediction(traj, c, f, la) == []
 
     def test_equal_radius_pair_not_applicable(self, fig62_state):
         # Exercise the explicit inapplicability branch with a doctored
         # assignment that points the fast follower at an equal-rate peer.
         traj = simulate(fig62_state, max_steps=50, limit_tol=0.0)
-        _, c, _, _, la = analyze_final_topology(traj)
+        _, c, _, f, la = analyze_final_topology(traj)
         ids = {c.sccs[k]: k for k in la.open_sccs}
         doctored = LeaderAssignment(
             open_sccs=la.open_sccs,
@@ -228,16 +241,16 @@ class TestDirectionPrediction:
             leaders={**la.leaders, ids[(6,)]: ids[(4, 5)]},
         )
         verdicts = {
-            v.follower_id: v for v in verify_direction_prediction(traj, doctored)
+            v.follower_id: v for v in verify_direction_prediction(traj, c, f, doctored)
         }
         v = verdicts[ids[(6,)]]
         assert v == DirectionVerdict(ids[(6,)], ids[(4, 5)], False, None)
 
     def test_dense_recording_required(self, fig62_state):
         traj = simulate(fig62_state, max_steps=50, record_every=2, limit_tol=0.0)
-        _, _, _, _, la = analyze_final_topology(traj)
+        _, c, _, f, la = analyze_final_topology(traj)
         with pytest.raises(ValueError):
-            verify_direction_prediction(traj, la)
+            verify_direction_prediction(traj, c, f, la)
 
     def test_follower_residual_signs_eventually_match(self):
         # Independent check of the claim behind the verdicts: once a match
@@ -251,7 +264,7 @@ class TestDirectionPrediction:
             if tail < 12 or traj.fixed_at is not None:
                 continue
             _, c, _, f, la = analyze_final_topology(traj)
-            for v in verify_direction_prediction(traj, la):
+            for v in verify_direction_prediction(traj, c, f, la):
                 if not v.applicable or v.matches_from is None:
                     continue
                 checked += 1
