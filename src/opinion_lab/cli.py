@@ -16,7 +16,7 @@ import numpy as np
 
 from opinion_lab.dynamics import Trajectory, digraph_hash, pseudo_stable_check, simulate
 from opinion_lab.experiment import ExperimentConfig, emit_results, run_campaign
-from opinion_lab.graph import build_digraph, classify, proximity_mask
+from opinion_lab.graph import ProximityDigraph, build_digraph, classify, proximity_mask
 from opinion_lab.leader import (
     analyze_final_topology,
     verify_direction_prediction,
@@ -94,10 +94,9 @@ def load_trajectory_csv(path, state: OpinionState) -> Trajectory:
     # Rebuild topology epochs from the recorded states.
     prev = None
     for t, x in zip(traj.times, traj.states):
-        now = state.with_opinions(x)
-        mask = proximity_mask(now)
+        mask = proximity_mask(state.with_opinions(x))
         if prev is None or not np.array_equal(mask, prev):
-            traj.topology_epochs.append((t, digraph_hash(build_digraph(now))))
+            traj.topology_epochs.append((t, digraph_hash(ProximityDigraph(mask))))
             prev = mask
     return traj
 

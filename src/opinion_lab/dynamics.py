@@ -5,7 +5,6 @@ pseudo-stability)."""
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -22,14 +21,8 @@ def digraph_hash(g: ProximityDigraph) -> str:
     """Stable 64-bit hash of the sorted edge list, as hex: sha256 over n as
     8 little-endian bytes, then every edge (i, j) as two little-endian
     uint32, in ascending order."""
-    degrees = [len(nbrs) for nbrs in g.out_neighbors]
-    pairs = np.empty((sum(degrees), 2), dtype="<u4")
-    pairs[:, 0] = np.repeat(np.arange(g.n), degrees)
-    pairs[:, 1] = np.fromiter(
-        itertools.chain.from_iterable(g.out_neighbors), dtype="<u4", count=len(pairs)
-    )
     h = hashlib.sha256(g.n.to_bytes(8, "little"))
-    h.update(pairs.tobytes())
+    h.update(np.argwhere(g.mask).astype("<u4").tobytes())
     return h.hexdigest()[:16]
 
 
@@ -110,7 +103,6 @@ class Epoch:
 
     start: int
     first_state: np.ndarray
-    mask: np.ndarray
     digraph: ProximityDigraph
     label: str
     matrix: np.ndarray
@@ -165,10 +157,9 @@ def simulate(
 
     for t in range(max_steps):
         now = state.with_opinions(x)
-        mask = proximity_mask(now)
-        if epoch is None or not np.array_equal(mask, epoch.mask):
+        if epoch is None or not np.array_equal(proximity_mask(now), epoch.digraph.mask):
             g = build_digraph(now)
-            epoch = Epoch(t, now.opinions, mask, g, digraph_hash(g), adjacency_matrix(g))
+            epoch = Epoch(t, now.opinions, g, digraph_hash(g), adjacency_matrix(g))
             traj.topology_epochs.append((t, epoch.label))
             traj.final_epoch = epoch
 

@@ -7,7 +7,7 @@ it is a sink but not complete, and open-minded otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -17,24 +17,35 @@ from opinion_lab.state import Model, OpinionState
 
 @dataclass(frozen=True)
 class ProximityDigraph:
-    """Per-node ordered out-neighbor sets (ascending, self-loop included)."""
+    """The proximity relation as its boolean matrix: ``mask[i, j]`` iff j is
+    an out-neighbor of i.  ``out_neighbors`` lists every row's columns
+    (ascending, self-loop included) and alone decides equality and hashing."""
 
-    n: int
-    out_neighbors: tuple
+    mask: np.ndarray = field(compare=False, repr=False)
+    out_neighbors: tuple = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        mask = np.asarray(self.mask, dtype=bool)
+        if mask.ndim != 2 or mask.shape[0] != mask.shape[1]:
+            raise ValueError("mask must be a square matrix")
+        if mask.shape[0] < 1:
             raise ValueError("digraph needs at least one node")
-        if len(self.out_neighbors) != self.n:
-            raise ValueError("out_neighbors length must equal n")
-        for i, nbrs in enumerate(self.out_neighbors):
-            if i not in nbrs:
-                raise ValueError(f"node {i} is missing its self-loop")
+        missing = np.flatnonzero(~mask.diagonal())
+        if missing.size:
+            raise ValueError(f"node {missing[0]} is missing its self-loop")
+        cols = np.nonzero(mask)[1].tolist()
+        ends = np.cumsum(mask.sum(axis=1)).tolist()
+        rows = tuple(tuple(cols[a:b]) for a, b in zip([0] + ends, ends))
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "out_neighbors", rows)
+
+    @property
+    def n(self) -> int:
+        return len(self.out_neighbors)
 
     def to_json(self) -> dict:
         """Adjacency-list export, 0-based indices."""
-        edges = sorted((i, j) for i in range(self.n) for j in self.out_neighbors[i])
-        return {"n": self.n, "edges": [[i, j] for i, j in edges]}
+        return {"n": self.n, "edges": np.argwhere(self.mask).tolist()}
 
 
 class SccClass(str, Enum):
@@ -99,11 +110,7 @@ def build_digraph(state: OpinionState, tol: float = 0.0) -> ProximityDigraph:
     SBI: j is an out-neighbor of i iff |y_i - y_j| <= r_j (+ tol).
     The comparison is exact by default; boundary semantics matter downstream.
     """
-    mask = proximity_mask(state, tol)
-    neighbors = tuple(
-        tuple(int(j) for j in np.flatnonzero(row)) for row in mask
-    )
-    return ProximityDigraph(state.n, neighbors)
+    return ProximityDigraph(proximity_mask(state, tol))
 
 
 def strongly_connected_components(g: ProximityDigraph) -> list:
@@ -166,80 +173,64 @@ def strongly_connected_components(g: ProximityDigraph) -> list:
 def classify(g: ProximityDigraph) -> Classification:
     """Tag every SCC and compute condensation plus open-minded WCCs."""
     sccs = strongly_connected_components(g)
-    scc_of = [0] * g.n
+    scc_of = np.empty(g.n, dtype=np.intp)
     for k, members in enumerate(sccs):
-        for v in members:
-            scc_of[v] = k
+        scc_of[members] = k
 
-    cond_edges = [set() for _ in sccs]
-    for i in range(g.n):
-        ki = scc_of[i]
-        for j in g.out_neighbors[i]:
-            kj = scc_of[j]
-            if ki != kj:
-                cond_edges[ki].add(kj)
+    rows, cols = np.nonzero(g.mask)
+    cond = np.zeros((len(sccs), len(sccs)), dtype=bool)
+    cond[scc_of[rows], scc_of[cols]] = True
+    np.fill_diagonal(cond, False)
 
-    classes = []
-    for k, members in enumerate(sccs):
-        if cond_edges[k]:
-            classes.append(SccClass.OPEN)
-        else:
-            member_set = set(members)
-            complete = all(
-                member_set <= set(g.out_neighbors[i]) for i in members
-            )
-            classes.append(SccClass.CLOSED if complete else SccClass.MODERATE)
+    is_open = cond.any(axis=1)
+    classes = tuple(
+        SccClass.OPEN if is_open[k]
+        else SccClass.CLOSED if g.mask[np.ix_(members, members)].all()
+        else SccClass.MODERATE
+        for k, members in enumerate(sccs)
+    )
 
     # Open WCCs group the open SCCs joined by condensation edges.
-    open_ids = [k for k, tag in enumerate(classes) if tag is SccClass.OPEN]
-    groups = weak_components(cond_edges, open_ids)
-    open_wccs = tuple(sorted(tuple(sorted(v for k in w for v in sccs[k])) for w in groups))
+    open_ids = np.flatnonzero(is_open)
+    groups = weak_components(cond[np.ix_(open_ids, open_ids)])
+    open_wccs = tuple(sorted(
+        tuple(sorted(v for k in w for v in sccs[open_ids[k]])) for w in groups
+    ))
     return Classification(
         sccs=tuple(tuple(m) for m in sccs),
-        classes=tuple(classes),
-        condensation=tuple(tuple(sorted(e)) for e in cond_edges),
+        classes=classes,
+        condensation=tuple(tuple(np.flatnonzero(row).tolist()) for row in cond),
         open_wccs=open_wccs,
-        scc_of=tuple(scc_of),
+        scc_of=tuple(scc_of.tolist()),
     )
 
 
-def weak_components(out_neighbors, nodes) -> tuple:
-    """WCCs of the subgraph induced on ``nodes`` (``out_neighbors[v]`` lists
-    v's out-neighbors), each sorted ascending, in order of smallest member."""
-    parent = {v: v for v in nodes}
+def reachability(mask: np.ndarray) -> np.ndarray:
+    """Transitive closure of a reflexive boolean adjacency matrix by repeated
+    squaring: entry (i, j) is true iff there is a path from i to j."""
+    reach = mask
+    for _ in range(len(reach).bit_length() + 1):
+        closed = reach | (reach @ reach)
+        if np.array_equal(closed, reach):
+            break
+        reach = closed
+    return reach
 
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
 
-    for i in parent:
-        for j in out_neighbors[i]:
-            if j in parent:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-    groups: dict = {}
-    for v in sorted(parent):
-        groups.setdefault(find(v), []).append(v)
-    return tuple(tuple(m) for _, m in sorted(groups.items()))
+def weak_components(mask: np.ndarray) -> tuple:
+    """WCCs of the digraph with boolean adjacency ``mask``, each sorted
+    ascending, in order of smallest member."""
+    n = len(mask)
+    if n == 0:
+        return ()
+    reach = reachability(mask | mask.T | np.eye(n, dtype=bool))
+    # Row i marks i's component; its first true column is the smallest member.
+    firsts = np.flatnonzero(reach.argmax(axis=1) == np.arange(n))
+    return tuple(tuple(np.flatnonzero(reach[v]).tolist()) for v in firsts)
 
 
 def predecessors(g: ProximityDigraph, i: int) -> set:
     """All nodes with a directed path to i, including i itself."""
     if not 0 <= i < g.n:
         raise IndexError(f"node {i} out of range for n={g.n}")
-    incoming = [[] for _ in range(g.n)]
-    for u in range(g.n):
-        for v in g.out_neighbors[u]:
-            incoming[v].append(u)
-    seen = {i}
-    frontier = [i]
-    while frontier:
-        v = frontier.pop()
-        for u in incoming[v]:
-            if u not in seen:
-                seen.add(u)
-                frontier.append(u)
-    return seen
+    return set(np.flatnonzero(reachability(g.mask)[:, i]).tolist())

@@ -23,10 +23,7 @@ class PowerIterationError(RuntimeError):
 
 def adjacency_matrix(g: ProximityDigraph) -> np.ndarray:
     """Row-stochastic averaging matrix: row i is uniform on N_i."""
-    a = np.zeros((g.n, g.n))
-    for i, nbrs in enumerate(g.out_neighbors):
-        a[i, list(nbrs)] = 1.0 / len(nbrs)
-    return a
+    return g.mask / g.mask.sum(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from opinion_lab.dynamics import Termination, Trajectory
-from opinion_lab.graph import build_digraph, proximity_mask, weak_components
+from opinion_lab.graph import build_digraph, proximity_mask, reachability, weak_components
 from opinion_lab.matrix import adjacency_matrix, fvct
 from opinion_lab.state import Model, OpinionState
 
@@ -37,13 +37,8 @@ def invariant_equi_topology_distance(
     state: OpinionState, eps: np.ndarray
 ) -> np.ndarray:
     """Per-agent minimum of eps over its digraph predecessors (self
-    included), via a boolean transitive closure."""
-    reach = proximity_mask(state)
-    for _ in range(int(state.n).bit_length() + 1):
-        closed = reach | (reach @ reach)
-        if np.array_equal(closed, reach):
-            break
-        reach = closed
+    included), via the boolean transitive closure."""
+    reach = reachability(proximity_mask(state))
     eps = np.asarray(eps, dtype=float)
     # Column i of the closure marks everyone who can reach agent i.
     return np.where(reach, eps[:, None], math.inf).min(axis=0)
@@ -88,18 +83,13 @@ def is_equilibrium(state: OpinionState, tol: float = 0.0) -> bool:
 
 def is_agreement_vector(state: OpinionState) -> bool:
     """Every pair of agents is either disconnected or in consensus."""
-    g = build_digraph(state)
     y = state.opinions
-    for i in range(state.n):
-        for j in g.out_neighbors[i]:
-            if j != i and y[i] != y[j]:
-                return False
-    return True
+    return not np.any(proximity_mask(state) & (y[:, None] != y[None, :]))
 
 
 def _weak_components(state: OpinionState) -> list:
     """WCCs of the full proximity digraph, sorted by smallest member."""
-    return [list(w) for w in weak_components(build_digraph(state).out_neighbors, range(state.n))]
+    return [list(w) for w in weak_components(proximity_mask(state))]
 
 
 @dataclass(frozen=True)

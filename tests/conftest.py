@@ -95,6 +95,36 @@ def open_wccs_oracle(g, c):
     return tuple(tuple(m) for _, m in sorted(groups.items()))
 
 
+def reference_adjacency_matrix(g):
+    """Row-stochastic matrix filled row by row from the neighbor lists."""
+    a = np.zeros((g.n, g.n))
+    for i, nbrs in enumerate(g.out_neighbors):
+        a[i, list(nbrs)] = 1.0 / len(nbrs)
+    return a
+
+
+def condensation_oracle(g, c):
+    """Condensation out-edges from the SCC pair of every node-level edge."""
+    succs = [set() for _ in c.sccs]
+    for i in range(g.n):
+        for j in g.out_neighbors[i]:
+            if c.scc_of[i] != c.scc_of[j]:
+                succs[c.scc_of[i]].add(c.scc_of[j])
+    return tuple(tuple(sorted(e)) for e in succs)
+
+
+def epoch_start_states(rng, runs=20):
+    """The first state of every epoch of some runs: clustered late states."""
+    from opinion_lab import simulate
+
+    states = []
+    for _ in range(runs):
+        traj = simulate(random_state(rng, n=30, bounds_hi=0.2), max_steps=500)
+        starts = [t for t, _ in traj.topology_epochs]
+        states.extend(traj.state_at_index(traj.times.index(t)) for t in starts)
+    return states
+
+
 # --- Reference kernels: the stepping loops as they were before simulate
 # became the single kernel, kept to pin its outputs. ---------------------
 

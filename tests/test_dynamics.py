@@ -16,14 +16,16 @@ from opinion_lab import (
 )
 from opinion_lab.stability import _weak_components
 
-from conftest import random_state, reference_digraph_hash, reference_simulate
+from conftest import epoch_start_states, random_state, reference_digraph_hash, reference_simulate
 
 
 def test_digraph_hash_matches_edge_by_edge_reference(fig41_state):
     assert digraph_hash(build_digraph(fig41_state)) == "5e625a2a4fe11b6b"
     rng = np.random.default_rng(61)
-    for _ in range(30):
-        g = build_digraph(random_state(rng, max_n=15))
+    states = [random_state(rng, max_n=15) for _ in range(30)]
+    states.extend(epoch_start_states(rng, runs=5))
+    for state in states:
+        g = build_digraph(state)
         assert digraph_hash(g) == reference_digraph_hash(g)
 
 

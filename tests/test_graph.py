@@ -5,23 +5,31 @@ from opinion_lab import (
     Model,
     OpinionState,
     SccClass,
+    adjacency_matrix,
     build_digraph,
     classify,
     predecessors,
-    simulate,
     strongly_connected_components,
 )
 from opinion_lab.graph import ProximityDigraph
 
-from conftest import digraph_oracle, open_wccs_oracle, random_state, reachability_oracle
+from conftest import (
+    condensation_oracle,
+    digraph_oracle,
+    epoch_start_states,
+    open_wccs_oracle,
+    random_state,
+    reachability_oracle,
+    reference_adjacency_matrix,
+)
 
 
 def complete_digraph(n):
-    return ProximityDigraph(n, tuple(tuple(range(n)) for _ in range(n)))
+    return ProximityDigraph(np.ones((n, n), dtype=bool))
 
 
 def self_loop_digraph(n):
-    return ProximityDigraph(n, tuple((i,) for i in range(n)))
+    return ProximityDigraph(np.eye(n, dtype=bool))
 
 
 class TestBuildDigraph:
@@ -76,6 +84,33 @@ class TestBuildDigraph:
         assert [0, 0] in data["edges"]
         assert [1, 0] in data["edges"]
         assert [0, 1] not in data["edges"]
+
+
+class TestProximityDigraph:
+    @pytest.mark.parametrize(
+        "mask",
+        [
+            np.ones((2, 3), dtype=bool),
+            np.ones(3, dtype=bool),
+            np.zeros((0, 0), dtype=bool),
+            np.ones((3, 3), dtype=bool) & ~np.eye(3, dtype=bool),
+            np.array([[True, True], [True, False]]),
+        ],
+        ids=["non-square", "one-dimensional", "empty", "no-diagonal", "one-self-loop-missing"],
+    )
+    def test_rejects_invalid_masks(self, mask):
+        with pytest.raises(ValueError):
+            ProximityDigraph(mask)
+
+    def test_equal_states_give_equal_digraphs(self):
+        rng = np.random.default_rng(37)
+        for _ in range(50):
+            state = random_state(rng)
+            a, b = build_digraph(state), build_digraph(state.with_opinions(state.opinions.copy()))
+            assert a is not b and a.mask is not b.mask
+            assert a == b
+            assert hash(a) == hash(b)
+        assert complete_digraph(3) != self_loop_digraph(3)
 
 
 class TestScc:
@@ -176,15 +211,13 @@ class TestClassify:
     def test_open_wccs_match_node_level_oracle(self):
         rng = np.random.default_rng(31)
         states = [random_state(rng, max_n=40, bounds_hi=0.2) for _ in range(300)]
-        # The first state of every epoch of some runs: clustered late states.
-        for _ in range(20):
-            traj = simulate(random_state(rng, n=30, bounds_hi=0.2), max_steps=500)
-            starts = [t for t, _ in traj.topology_epochs]
-            states.extend(traj.state_at_index(traj.times.index(t)) for t in starts)
+        states.extend(epoch_start_states(rng))
         for state in states:
             g = build_digraph(state)
             c = classify(g)
             assert c.open_wccs == open_wccs_oracle(g, c)
+            assert c.condensation == condensation_oracle(g, c)
+            assert adjacency_matrix(g).tobytes() == reference_adjacency_matrix(g).tobytes()
 
     def test_every_condensation_wcc_has_a_sink(self):
         rng = np.random.default_rng(29)
