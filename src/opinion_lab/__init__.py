@@ -12,7 +12,6 @@ from opinion_lab.graph import (
     SccClass,
     build_digraph,
     classify,
-    predecessors,
     strongly_connected_components,
 )
 from opinion_lab.matrix import (
@@ -72,7 +71,6 @@ __all__ = [
     "SccClass",
     "build_digraph",
     "classify",
-    "predecessors",
     "strongly_connected_components",
     "CanonicalDecomposition",
     "adjacency_matrix",

@@ -16,7 +16,7 @@ import numpy as np
 
 from opinion_lab.dynamics import Trajectory, digraph_hash, pseudo_stable_check, simulate
 from opinion_lab.experiment import ExperimentConfig, emit_results, run_campaign
-from opinion_lab.graph import ProximityDigraph, build_digraph, classify, proximity_mask
+from opinion_lab.graph import ProximityDigraph, _neighbor_mask, build_digraph, classify
 from opinion_lab.leader import (
     analyze_final_topology,
     verify_direction_prediction,
@@ -91,10 +91,12 @@ def load_trajectory_csv(path, state: OpinionState) -> Trajectory:
         raise InputError(f"{path}: empty trajectory")
     if any(len(x) != state.n for x in traj.states):
         raise InputError(f"{path}: row width does not match state size")
+    if not all(np.isfinite(x).all() for x in traj.states):
+        raise InputError(f"{path}: opinions must be finite")
     # Rebuild topology epochs from the recorded states.
     prev = None
     for t, x in zip(traj.times, traj.states):
-        mask = proximity_mask(state.with_opinions(x))
+        mask = _neighbor_mask(x, state.bounds, state.kind)
         if prev is None or not np.array_equal(mask, prev):
             traj.topology_epochs.append((t, digraph_hash(ProximityDigraph(mask))))
             prev = mask
@@ -102,7 +104,7 @@ def load_trajectory_csv(path, state: OpinionState) -> Trajectory:
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    print(json.dumps(obj))
 
 
 def cmd_simulate(args) -> int:

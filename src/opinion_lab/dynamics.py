@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from opinion_lab.graph import ProximityDigraph, build_digraph, classify, proximity_mask
+from opinion_lab.graph import ProximityDigraph, _neighbor_mask, build_digraph, classify
 from opinion_lab.matrix import adjacency_matrix, canonical_decomposition, fvct_canonical
 from opinion_lab.state import Model, OpinionState
 
@@ -156,8 +156,10 @@ def simulate(
     epoch = None
 
     for t in range(max_steps):
-        now = state.with_opinions(x)
-        if epoch is None or not np.array_equal(proximity_mask(now), epoch.digraph.mask):
+        if epoch is None or not np.array_equal(
+            _neighbor_mask(x, state.bounds, state.kind), epoch.digraph.mask
+        ):
+            now = state.with_opinions(x)
             g = build_digraph(now)
             epoch = Epoch(t, now.opinions, g, digraph_hash(g), adjacency_matrix(g))
             traj.topology_epochs.append((t, epoch.label))

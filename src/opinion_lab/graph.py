@@ -95,10 +95,14 @@ class Classification:
 def proximity_mask(state: OpinionState, tol: float = 0.0) -> np.ndarray:
     """Boolean edge matrix of the neighbor inequality, without building the
     tuple representation (cheap enough for per-step change detection)."""
-    y = state.opinions
-    r = state.bounds
+    return _neighbor_mask(state.opinions, state.bounds, state.kind, tol)
+
+
+def _neighbor_mask(y: np.ndarray, r: np.ndarray, kind: Model, tol: float = 0.0) -> np.ndarray:
+    """``proximity_mask`` on bare vectors, for loops that step opinions under
+    fixed, already validated bounds."""
     dist = np.abs(y[:, None] - y[None, :])
-    if state.kind is Model.SBC:
+    if kind is Model.SBC:
         return dist <= (r[:, None] + tol)
     return dist <= (r[None, :] + tol)
 
@@ -228,9 +232,3 @@ def weak_components(mask: np.ndarray) -> tuple:
     firsts = np.flatnonzero(reach.argmax(axis=1) == np.arange(n))
     return tuple(tuple(np.flatnonzero(reach[v]).tolist()) for v in firsts)
 
-
-def predecessors(g: ProximityDigraph, i: int) -> set:
-    """All nodes with a directed path to i, including i itself."""
-    if not 0 <= i < g.n:
-        raise IndexError(f"node {i} out of range for n={g.n}")
-    return set(np.flatnonzero(reachability(g.mask)[:, i]).tolist())

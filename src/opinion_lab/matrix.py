@@ -17,10 +17,6 @@ from opinion_lab.graph import Classification, ProximityDigraph, SccClass, classi
 from opinion_lab.state import OpinionState
 
 
-class PowerIterationError(RuntimeError):
-    """Dominant-eigenpair iteration failed to converge."""
-
-
 def adjacency_matrix(g: ProximityDigraph) -> np.ndarray:
     """Row-stochastic averaging matrix: row i is uniform on N_i."""
     return g.mask / g.mask.sum(axis=1, keepdims=True)
@@ -160,81 +156,44 @@ def canonical_decomposition(
     )
 
 
-def spectral_radius(
-    block: np.ndarray, tol: float = 1e-12, max_iter: int = 10**6
-) -> float:
-    """Dominant eigenvalue magnitude of a nonnegative primitive matrix.
-
-    Power iteration with a uniform start vector; for the blocks arising
-    here the positive diagonal guarantees primitivity and convergence.
-    """
+def spectral_radius(block: np.ndarray) -> float:
+    """Largest eigenvalue magnitude of a square nonnegative matrix, from
+    ``numpy.linalg.eigvals``; a 1x1 block's radius is its entry."""
     block = np.asarray(block, dtype=float)
     if block.ndim != 2 or block.shape[0] != block.shape[1]:
         raise ValueError("block must be square")
     if np.any(block < 0):
         raise ValueError("block must be nonnegative")
-    n = block.shape[0]
-    if n == 1:
+    if block.shape[0] == 1:
         return float(block[0, 0])
-    v = np.full(n, 1.0 / n)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = block @ v
-        total = w.sum()
-        if total == 0.0:
-            return 0.0
-        lam_new = total  # v is normalized to sum 1
-        v = w / total
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-            return float(lam_new)
-        lam = lam_new
-    raise PowerIterationError(
-        f"spectral radius did not converge in {max_iter} iterations"
-    )
+    return float(np.max(np.abs(np.linalg.eigvals(block))))
 
 
-def left_perron_vector(
-    block: np.ndarray, tol: float = 1e-13, max_iter: int = 10**6
-) -> np.ndarray:
-    """Left eigenvector for the Perron root, normalized to sum 1."""
+def left_perron_vector(block: np.ndarray) -> np.ndarray:
+    """Left eigenvector for eigenvalue 1 of an irreducible row-stochastic
+    block, normalized to sum 1.
+
+    One linear solve of ``nu^T (I - M) = 0`` with its last equation replaced
+    by ``sum(nu) = 1``.  On that domain ``I - M`` has rank n - 1 and its
+    left null space is spanned by the positive Perron vector, whose sum is
+    nonzero, so the bordered system is nonsingular.
+    """
     block = np.asarray(block, dtype=float)
     n = block.shape[0]
-    nu = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        w = block.T @ nu
-        total = w.sum()
-        if total == 0.0:
-            raise PowerIterationError("left eigenvector iteration degenerated")
-        w /= total
-        if np.max(np.abs(w - nu)) <= tol:
-            return w
-        nu = w
-    raise PowerIterationError(
-        f"left eigenvector did not converge in {max_iter} iterations"
-    )
+    system = np.eye(n) - block.T
+    system[-1] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    return np.linalg.solve(system, rhs)
 
 
 def m_star(m_block: np.ndarray) -> np.ndarray:
-    """Limit of powers of one row-stochastic primitive SCC block.
+    """Limit of powers of one irreducible row-stochastic primitive block.
 
-    Rank one: every row equals the left Perron eigenvector normalized to
-    sum 1.
+    Rank one: every row equals the left Perron vector normalized to sum 1.
     """
-    m_block = np.asarray(m_block, dtype=float)
     nu = left_perron_vector(m_block)
-    return np.tile(nu, (m_block.shape[0], 1))
-
-
-def _block_diag_limit(decomp: CanonicalDecomposition) -> np.ndarray:
-    """M* assembled block-diagonally over the moderate-minded SCCs."""
-    nm = decomp.n_moderate
-    out = np.zeros((nm, nm))
-    offset = 0
-    for size in decomp.moderate_sizes:
-        sl = slice(offset, offset + size)
-        out[sl, sl] = m_star(decomp.M[sl, sl])
-        offset += size
-    return out
+    return np.tile(nu, (len(nu), 1))
 
 
 def fvct_canonical(decomp: CanonicalDecomposition, y: np.ndarray) -> np.ndarray:
@@ -242,12 +201,17 @@ def fvct_canonical(decomp: CanonicalDecomposition, y: np.ndarray) -> np.ndarray:
     perm = decomp.permutation
     yp = np.asarray(y, dtype=float)[perm]
     nc, nm = decomp.n_closed, decomp.n_moderate
-    y_c, y_m = yp[:nc], yp[nc : nc + nm]
 
     f = np.empty_like(yp)
-    f[:nc] = decomp.C @ y_c
-    mstar = _block_diag_limit(decomp)
-    f[nc : nc + nm] = mstar @ y_m
+    f[:nc] = decomp.C @ yp[:nc]
+    # A moderate block settles at the consensus nu . y of its left Perron
+    # vector nu (the rows of its rank-one limit M*).
+    offset = 0
+    for size in decomp.moderate_sizes:
+        sl = slice(offset, offset + size)
+        block = slice(nc + offset, nc + offset + size)
+        f[block] = left_perron_vector(decomp.M[sl, sl]) @ yp[block]
+        offset += size
     if decomp.n_open:
         rhs = decomp.ThetaC @ f[:nc] + decomp.ThetaM @ f[nc : nc + nm]
         eye = np.eye(decomp.n_open)

@@ -125,6 +125,75 @@ def epoch_start_states(rng, runs=20):
     return states
 
 
+# --- Power iteration: how spectral_radius and left_perron_vector worked
+# before they became direct linear algebra, kept as oracles. --------------
+
+
+def power_iteration_spectral_radius(
+    block: np.ndarray, tol: float = 1e-12, max_iter: int = 10**6
+) -> float:
+    """Dominant eigenvalue magnitude of a nonnegative primitive matrix.
+
+    Power iteration with a uniform start vector; for the blocks arising
+    here the positive diagonal guarantees primitivity and convergence.
+    """
+    block = np.asarray(block, dtype=float)
+    if block.ndim != 2 or block.shape[0] != block.shape[1]:
+        raise ValueError("block must be square")
+    if np.any(block < 0):
+        raise ValueError("block must be nonnegative")
+    n = block.shape[0]
+    if n == 1:
+        return float(block[0, 0])
+    v = np.full(n, 1.0 / n)
+    lam = 0.0
+    for _ in range(max_iter):
+        w = block @ v
+        total = w.sum()
+        if total == 0.0:
+            return 0.0
+        lam_new = total  # v is normalized to sum 1
+        v = w / total
+        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
+            return float(lam_new)
+        lam = lam_new
+    raise RuntimeError(
+        f"spectral radius did not converge in {max_iter} iterations"
+    )
+
+
+def power_iteration_left_perron_vector(
+    block: np.ndarray, tol: float = 1e-13, max_iter: int = 10**6
+) -> np.ndarray:
+    """Left eigenvector for the Perron root, normalized to sum 1."""
+    block = np.asarray(block, dtype=float)
+    n = block.shape[0]
+    nu = np.full(n, 1.0 / n)
+    for _ in range(max_iter):
+        w = block.T @ nu
+        total = w.sum()
+        if total == 0.0:
+            raise RuntimeError("left eigenvector iteration degenerated")
+        w /= total
+        if np.max(np.abs(w - nu)) <= tol:
+            return w
+        nu = w
+    raise RuntimeError(
+        f"left eigenvector did not converge in {max_iter} iterations"
+    )
+
+
+def matrix_power_radius(block, squarings=60):
+    """Spectral radius of a primitive nonnegative block from a high power:
+    B^(2^k), rescaled after each squaring, tends to a multiple of the
+    rank-one Perron projector P, and B P = rho P."""
+    p = np.asarray(block, dtype=float)
+    for _ in range(squarings):
+        p = p @ p
+        p /= p.sum()
+    return float((block @ p).sum() / p.sum())
+
+
 # --- Reference kernels: the stepping loops as they were before simulate
 # became the single kernel, kept to pin its outputs. ---------------------
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from opinion_lab.cli import InputError, load_state, load_trajectory_csv, main
-from opinion_lab.state import Model
+from opinion_lab.state import Model, OpinionState
 
 
 @pytest.fixture
@@ -186,7 +186,7 @@ class TestOtherCommands:
         assert "rates" not in out
         assert out["pseudo_stable"]["holds_from"] is not None
 
-    def test_loaded_trajectory_keeps_epochs(self, tmp_path, capsys):
+    def test_loaded_trajectory_keeps_epochs(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "late_change.json"
         path.write_text(
             json.dumps({"opinions": [0.03, 0.45, 0.81], "bounds": [0.31, 0.07, 0.45]})
@@ -194,7 +194,10 @@ class TestOtherCommands:
         prefix = str(tmp_path / "run")
         main(["simulate", "--state", str(path), "--out-prefix", prefix])
         events = json.loads(capsys.readouterr().out)
-        loaded = load_trajectory_csv(prefix + "_trajectory.csv", load_state(str(path), "sbc"))
+        state = load_state(str(path), "sbc")
+        # Rows are compared as bare vectors; no state is built per row.
+        monkeypatch.setattr(OpinionState, "with_opinions", None)
+        loaded = load_trajectory_csv(prefix + "_trajectory.csv", state)
         assert len(events["epochs"]) > 1
         assert [{"t": t, "hash": h} for t, h in loaded.topology_epochs] == events["epochs"]
         assert loaded.final_epoch is None
@@ -209,6 +212,40 @@ class TestOtherCommands:
         empty.write_text("t,x_0,x_1,x_2\n")
         with pytest.raises(InputError, match="empty"):
             load_trajectory_csv(str(empty), state)
+        nonfinite = tmp_path / "nonfinite.csv"
+        nonfinite.write_text("t,x_0,x_1,x_2\n0,0.0,0.6,1.0\n1,0.0,nan,1.0\n")
+        with pytest.raises(InputError, match="finite"):
+            load_trajectory_csv(str(nonfinite), state)
+
+
+class TestEdgeInputs:
+    @pytest.mark.parametrize("command", ["classify", "fvct", "check", "analyze", "simulate"])
+    def test_output_is_one_json_line(self, three_agent_json, command, capsys):
+        assert main([command, "--state", three_agent_json]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        json.loads(lines[0])
+
+    @pytest.mark.parametrize("model", ["sbc", "sbi"])
+    @pytest.mark.parametrize(
+        "opinions, bounds",
+        [([0.0, 0.4, 1.0], [float("inf"), 0.1, 0.1]), ([0.3], [0.2])],
+        ids=["infinite-bound", "one-agent"],
+    )
+    @pytest.mark.parametrize("command", ["classify", "fvct", "check", "analyze"])
+    def test_commands_accept(self, tmp_path, capsys, command, opinions, bounds, model):
+        # An infinite bound is accepted and puts every agent in range.
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"opinions": opinions, "bounds": bounds}))
+        assert main([command, "--state", str(path), "--model", model]) == 0
+        out = json.loads(capsys.readouterr().out)
+        if command == "classify" and len(opinions) == 3:
+            edges = {tuple(e) for e in out["digraph"]["edges"]}
+            reached = {(0, j) if model == "sbc" else (j, 0) for j in range(3)}
+            assert reached <= edges
+        if command == "fvct" and len(opinions) == 3:
+            expected = [0.7, 0.4, 1.0] if model == "sbc" else [0.0, 0.0, 0.0]
+            assert out == pytest.approx(expected, abs=1e-12)
 
 
 class TestExperimentCommand:

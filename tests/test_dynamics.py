@@ -168,10 +168,19 @@ class TestSimulate:
             return build_digraph(state)
 
         monkeypatch.setattr(dynamics, "build_digraph", counted)
+        states = []
+        with_opinions = OpinionState.with_opinions
+
+        def counted_state(self, opinions):
+            states.append(opinions)
+            return with_opinions(self, opinions)
+
+        monkeypatch.setattr(OpinionState, "with_opinions", counted_state)
         state = OpinionState([0.03, 0.45, 0.81], [0.31, 0.07, 0.45], Model.SBC)
         traj = simulate(state)
         assert len(traj.topology_epochs) > 1
         assert len(calls) == len(traj.topology_epochs) < traj.times[-1]
+        assert len(states) == len(traj.topology_epochs)
 
     def test_rejects_bad_options(self, fig41_state):
         with pytest.raises(ValueError):

@@ -1,9 +1,14 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opinion_lab import (
     Model,
     OpinionState,
+    SccClass,
     adjacency_matrix,
     build_digraph,
     canonical_decomposition,
@@ -14,7 +19,12 @@ from opinion_lab import (
 )
 from opinion_lab.matrix import fvct_canonical, left_perron_vector
 
-from conftest import random_state
+from conftest import (
+    matrix_power_radius,
+    power_iteration_left_perron_vector,
+    power_iteration_spectral_radius,
+    random_state,
+)
 
 
 def decompose(state):
@@ -160,10 +170,30 @@ class TestSpectralRadius:
             m = rng.uniform(0, 1, (n, n)) + np.eye(n)
             expected = max(abs(np.linalg.eigvals(m)))
             assert spectral_radius(m) == pytest.approx(expected, rel=1e-9)
+            assert spectral_radius(m) == pytest.approx(
+                power_iteration_spectral_radius(m), rel=1e-9
+            )
+
+    def test_tied_state_where_power_iteration_stalls(self):
+        # From a uniform start, the first two power-iteration sums on this
+        # open block are both 11/12 (to rounding), so the loop stopped there.
+        state = OpinionState(
+            np.array([3, 0, 0, 4, 6, 6]) / 16, np.array([1, 3, 4, 4, 1, 1]) / 16, Model.SBC
+        )
+        _, d = decompose(state)
+        assert d.open_sizes == (4,)
+        assert power_iteration_spectral_radius(d.Theta) == pytest.approx(11 / 12, abs=1e-15)
+        rho = spectral_radius(d.Theta)
+        assert rho == pytest.approx(matrix_power_radius(d.Theta), rel=1e-12)
+        assert rho == pytest.approx(0.8976668227215641, rel=1e-12)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             spectral_radius(np.array([[1.0, -0.1], [0.0, 1.0]]))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            spectral_radius(np.full((2, 3), 0.1))
 
 
 class TestMStar:
@@ -293,3 +323,100 @@ class TestFvct:
         assert np.array_equal(
             fvct_canonical(d, fig62_state.opinions), fvct(fig62_state)
         )
+
+
+class TestUniformChain:
+    @pytest.mark.parametrize("n", [50, 100, 200, 400])
+    def test_exact_and_fast(self, n):
+        # SBC on evenly spaced opinions, each agent reaching only its nearest
+        # neighbors: one moderate block whose Perron vector is degree / sum.
+        # Power iteration stopped 3.0e-10 away from it at n = 200 after
+        # 0.7 s, and took seconds at n = 400.
+        state = OpinionState(np.linspace(0.0, 1.0, n), np.full(n, 1.5 / (n - 1)), Model.SBC)
+        g = build_digraph(state)
+        assert classify(g).classes == (SccClass.MODERATE,)
+        degree = g.mask.sum(axis=1)
+        a = adjacency_matrix(g)
+        start = time.perf_counter()
+        nu = left_perron_vector(a)
+        elapsed = time.perf_counter() - start
+        assert np.max(np.abs(nu - degree / degree.sum())) <= 1e-13
+        assert elapsed < 0.5
+
+
+# --- Property tests on random irreducible and digraph-derived blocks -------
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def irreducible_stochastic_blocks(draw, max_n=12):
+    """Row-stochastic blocks with a positive diagonal and a ring through
+    every node (so irreducible), plus random extra edges and weights."""
+    n = draw(st.integers(1, max_n))
+    weights = np.array(
+        draw(st.lists(st.floats(0.0, 1.0), min_size=n * n, max_size=n * n))
+    ).reshape(n, n)
+    ring = np.roll(np.eye(n, dtype=bool), 1, axis=1) | np.eye(n, dtype=bool)
+    weights = np.where(ring, np.maximum(weights, 1e-3), weights)
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+# Opinions and bounds on a dyadic grid: differences are exact, so duplicate
+# opinions and exact boundary ties |y_i - y_j| = r occur often.
+grid_states = st.integers(1, 14).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.integers(0, 16), min_size=n, max_size=n),
+        st.lists(st.integers(1, 6), min_size=n, max_size=n),
+        st.sampled_from([Model.SBC, Model.SBI]),
+    )
+).map(lambda t: OpinionState(np.array(t[0]) / 16, np.array(t[1]) / 16, t[2]))
+
+
+def moderate_and_open_blocks(state):
+    _, d = decompose(state)
+    offset, moderate = 0, []
+    for size in d.moderate_sizes:
+        moderate.append(d.M[offset : offset + size, offset : offset + size])
+        offset += size
+    return moderate, [d.Theta[sl, sl] for _, sl in d.open_block_slices()]
+
+
+def assert_perron_vector(block):
+    n = len(block)
+    nu = left_perron_vector(block)
+    assert np.all(nu >= 0.0)
+    assert abs(nu.sum() - 1.0) <= 4 * n * EPS
+    assert np.max(np.abs(nu @ (np.eye(n) - block))) <= 8 * n * EPS
+    return nu
+
+
+def assert_radius(block):
+    rho = spectral_radius(block)
+    rows = block.sum(axis=1)
+    slack = 8 * len(block) * EPS
+    assert rows.min() - slack <= rho <= rows.max() + slack
+    assert rho == pytest.approx(matrix_power_radius(block), rel=1e-12)
+
+
+class TestPerronProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(irreducible_stochastic_blocks())
+    def test_perron_vector_of_irreducible_block(self, block):
+        nu = assert_perron_vector(block)
+        assert np.max(np.abs(nu - power_iteration_left_perron_vector(block))) < 1e-9
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(grid_states)
+    def test_blocks_of_tied_and_duplicate_states(self, state):
+        moderate, open_blocks = moderate_and_open_blocks(state)
+        for block in moderate:
+            assert_perron_vector(block)
+        for block in open_blocks:
+            assert_radius(block)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(irreducible_stochastic_blocks(), st.floats(0.05, 0.95))
+    def test_radius_of_substochastic_block(self, block, scale):
+        # Open blocks lose row mass to their successors.
+        assert_radius(block * scale)
