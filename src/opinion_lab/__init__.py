@@ -30,7 +30,6 @@ from opinion_lab.dynamics import (
     per_step_factor,
     pseudo_stable_check,
     simulate,
-    step,
 )
 from opinion_lab.stability import (
     AgreementSufficiency,
@@ -81,7 +80,6 @@ __all__ = [
     "Trajectory",
     "Termination",
     "PseudoStableVerdict",
-    "step",
     "simulate",
     "per_step_factor",
     "pseudo_stable_check",

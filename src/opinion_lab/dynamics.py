@@ -22,7 +22,7 @@ def digraph_hash(g: ProximityDigraph) -> str:
     8 little-endian bytes, then every edge (i, j) as two little-endian
     uint32, in ascending order."""
     h = hashlib.sha256(g.n.to_bytes(8, "little"))
-    h.update(np.argwhere(g.mask).astype("<u4").tobytes())
+    h.update(np.stack(np.nonzero(g.mask), axis=1, dtype="<u4", casting="unsafe"))
     return h.hexdigest()[:16]
 
 
@@ -90,12 +90,6 @@ class Trajectory:
             fh.write("\n")
 
 
-def step(state: OpinionState) -> np.ndarray:
-    """One synchronous update: each agent averages its out-neighbors."""
-    g = build_digraph(state)
-    return adjacency_matrix(g) @ state.opinions
-
-
 @dataclass(eq=False)
 class Epoch:
     """One topology epoch: the digraph, its label and its averaging matrix,
@@ -156,9 +150,9 @@ def simulate(
     epoch = None
 
     for t in range(max_steps):
-        if epoch is None or not np.array_equal(
-            _neighbor_mask(x, state.bounds, state.kind), epoch.digraph.mask
-        ):
+        if epoch is None or (
+            _neighbor_mask(x, state.bounds, state.kind) != epoch.digraph.mask
+        ).any():
             now = state.with_opinions(x)
             g = build_digraph(now)
             epoch = Epoch(t, now.opinions, g, digraph_hash(g), adjacency_matrix(g))
@@ -171,7 +165,7 @@ def simulate(
 
         x_next = epoch.matrix @ x
         moved = float(np.max(np.abs(x_next - x)))
-        fixed = moved <= fixed_tol if fixed_tol > 0.0 else bool(np.array_equal(x_next, x))
+        fixed = moved <= fixed_tol if fixed_tol > 0.0 else not (x_next != x).any()
         if fixed:
             traj.fixed_at = t + 1
         if (

@@ -15,14 +15,13 @@ import numpy as np
 from opinion_lab.state import Model, OpinionState
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProximityDigraph:
-    """The proximity relation as its boolean matrix: ``mask[i, j]`` iff j is
-    an out-neighbor of i.  ``out_neighbors`` lists every row's columns
-    (ascending, self-loop included) and alone decides equality and hashing."""
+    """The proximity relation as its validated boolean matrix: ``mask[i, j]``
+    iff j is an out-neighbor of i, self-loops included.  Two digraphs are
+    equal when their masks are."""
 
-    mask: np.ndarray = field(compare=False, repr=False)
-    out_neighbors: tuple = field(init=False)
+    mask: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         mask = np.asarray(self.mask, dtype=bool)
@@ -33,15 +32,19 @@ class ProximityDigraph:
         missing = np.flatnonzero(~mask.diagonal())
         if missing.size:
             raise ValueError(f"node {missing[0]} is missing its self-loop")
-        cols = np.nonzero(mask)[1].tolist()
-        ends = np.cumsum(mask.sum(axis=1)).tolist()
-        rows = tuple(tuple(cols[a:b]) for a, b in zip([0] + ends, ends))
         object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "out_neighbors", rows)
 
     @property
     def n(self) -> int:
-        return len(self.out_neighbors)
+        return len(self.mask)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ProximityDigraph):
+            return NotImplemented
+        return np.array_equal(self.mask, other.mask)
+
+    def __hash__(self) -> int:
+        return hash((self.n, np.packbits(self.mask).tobytes()))
 
     def to_json(self) -> dict:
         """Adjacency-list export, 0-based indices."""
@@ -93,8 +96,8 @@ class Classification:
 
 
 def proximity_mask(state: OpinionState, tol: float = 0.0) -> np.ndarray:
-    """Boolean edge matrix of the neighbor inequality, without building the
-    tuple representation (cheap enough for per-step change detection)."""
+    """Boolean edge matrix of the neighbor inequality, unvalidated (cheap
+    enough for per-step change detection)."""
     return _neighbor_mask(state.opinions, state.bounds, state.kind, tol)
 
 
@@ -118,58 +121,51 @@ def build_digraph(state: OpinionState, tol: float = 0.0) -> ProximityDigraph:
 
 
 def strongly_connected_components(g: ProximityDigraph) -> list:
-    """Tarjan's algorithm, iterative and deterministic.
+    """Tarjan's algorithm, iterative and deterministic, over mask rows.
 
-    Roots are tried in ascending node order and neighbor lists are already
-    sorted, so the output order is reproducible: SCCs appear in reverse
-    topological order (a component is emitted before any of its
-    predecessors), members sorted ascending.
+    Roots are tried in ascending node order and each node's next child is
+    its smallest unvisited out-neighbor, so the output order is
+    reproducible: SCCs appear in reverse topological order (a component is
+    emitted before any of its predecessors), members sorted ascending.
+    A finished node takes its lowlink over its on-stack out-neighbors at
+    once: those below it on the stack are still there, and any above it
+    cannot lower the minimum.
     """
-    n = g.n
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
+    mask = g.mask
+    index = np.full(g.n, -1)
+    lowlink = [0] * g.n
+    unvisited = np.ones(g.n, dtype=bool)
+    on_stack = np.zeros(g.n, dtype=bool)
     stack: list = []
     sccs: list = []
     counter = 0
 
-    for root in range(n):
-        if index[root] != -1:
+    for root in range(g.n):
+        if not unvisited[root]:
             continue
-        # Explicit DFS stack of (node, neighbor iterator position).
-        work = [(root, 0)]
+        work = [root]
         while work:
-            v, pos = work.pop()
-            if pos == 0:
+            v = work[-1]
+            if unvisited[v]:
                 index[v] = lowlink[v] = counter
                 counter += 1
-                stack.append(v)
+                unvisited[v] = False
                 on_stack[v] = True
-            recurse = False
-            nbrs = g.out_neighbors[v]
-            while pos < len(nbrs):
-                w = nbrs[pos]
-                pos += 1
-                if index[w] == -1:
-                    work.append((v, pos))
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if recurse:
+                stack.append(v)
+            fresh = mask[v] & unvisited
+            w = int(fresh.argmax())
+            if fresh[w]:
+                work.append(w)
                 continue
+            work.pop()
+            lowlink[v] = min(lowlink[v], int(index[mask[v] & on_stack].min()))
             if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(sorted(comp))
+                k = stack.index(v)
+                on_stack[stack[k:]] = False
+                sccs.append(sorted(stack[k:]))
+                del stack[k:]
             if work:
-                parent = work[-1][0]
+                parent = work[-1]
                 lowlink[parent] = min(lowlink[parent], lowlink[v])
     return sccs
 
@@ -211,10 +207,17 @@ def classify(g: ProximityDigraph) -> Classification:
 
 def reachability(mask: np.ndarray) -> np.ndarray:
     """Transitive closure of a reflexive boolean adjacency matrix by repeated
-    squaring: entry (i, j) is true iff there is a path from i to j."""
+    squaring: entry (i, j) is true iff there is a path from i to j.
+
+    Each square is a float32 product, which runs on BLAS where a boolean
+    one does not.  It is exact: an entry counts the paths through one
+    midpoint, an integer of at most n, and sums of 0/1 products cannot
+    cancel, so it is positive exactly where the boolean product is true.
+    """
     reach = mask
     for _ in range(len(reach).bit_length() + 1):
-        closed = reach | (reach @ reach)
+        f = reach.astype(np.float32)
+        closed = (f @ f) > 0
         if np.array_equal(closed, reach):
             break
         reach = closed

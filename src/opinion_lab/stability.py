@@ -20,7 +20,8 @@ def equi_topology_distance(state: OpinionState) -> np.ndarray:
     agent's bound.
 
     With a single agent the minimum runs over an empty set; +inf is
-    returned as a sentinel.
+    returned as a sentinel.  A slack against an infinite bound is +inf,
+    also where the distance overflowed to inf.
     """
     z = state.opinions
     r = state.bounds
@@ -28,9 +29,11 @@ def equi_topology_distance(state: OpinionState) -> np.ndarray:
     if n == 1:
         return np.array([math.inf])
     dist = np.abs(z[:, None] - z[None, :])
-    slack = np.minimum(np.abs(dist - r[:, None]), np.abs(dist - r[None, :]))
+    # inf - inf is NaN, a slack of +inf, which fmin skips (diagonals stay inf).
+    with np.errstate(invalid="ignore"):
+        slack = np.fmin(np.abs(dist - r[:, None]), np.abs(dist - r[None, :]))
     np.fill_diagonal(slack, math.inf)
-    return 0.5 * slack.min(axis=1)
+    return 0.5 * np.fmin.reduce(slack, axis=1)
 
 
 def invariant_equi_topology_distance(

@@ -61,12 +61,77 @@ def digraph_oracle(state):
     return tuple(out)
 
 
+def neighbor_lists(g):
+    """Every node's out-neighbors as an ascending tuple, self included."""
+    return tuple(tuple(np.flatnonzero(row).tolist()) for row in g.mask)
+
+
+def tuple_strongly_connected_components(g):
+    """Tarjan over neighbor tuples, as the library ran it before it read
+    mask rows: the same SCCs, in the same order."""
+    out_neighbors = neighbor_lists(g)
+    n = g.n
+    index = [-1] * n
+    lowlink = [0] * n
+    on_stack = [False] * n
+    stack: list = []
+    sccs: list = []
+    counter = 0
+
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        # Explicit DFS stack of (node, neighbor iterator position).
+        work = [(root, 0)]
+        while work:
+            v, pos = work.pop()
+            if pos == 0:
+                index[v] = lowlink[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            recurse = False
+            nbrs = out_neighbors[v]
+            while pos < len(nbrs):
+                w = nbrs[pos]
+                pos += 1
+                if index[w] == -1:
+                    work.append((v, pos))
+                    work.append((w, 0))
+                    recurse = True
+                    break
+                if on_stack[w]:
+                    lowlink[v] = min(lowlink[v], index[w])
+            if recurse:
+                continue
+            if lowlink[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                sccs.append(sorted(comp))
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[v])
+    return sccs
+
+
+def reference_step(state):
+    """One synchronous update: each agent averages its out-neighbors."""
+    from opinion_lab import adjacency_matrix, build_digraph
+
+    return adjacency_matrix(build_digraph(state)) @ state.opinions
+
+
 def reachability_oracle(g):
     """Transitive closure by repeated boolean matrix squaring."""
     n = g.n
     reach = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        reach[i, list(g.out_neighbors[i])] = True
+    for i, nbrs in enumerate(neighbor_lists(g)):
+        reach[i, list(nbrs)] = True
     for _ in range(n.bit_length() + 1):
         reach = reach | (reach @ reach)
     return reach
@@ -84,8 +149,9 @@ def open_wccs_oracle(g, c):
             v = parent[v]
         return v
 
+    out_neighbors = neighbor_lists(g)
     for i in parent:
-        for j in g.out_neighbors[i]:
+        for j in out_neighbors[i]:
             if j in parent:
                 ri, rj = find(i), find(j)
                 parent[max(ri, rj)] = min(ri, rj)
@@ -98,7 +164,7 @@ def open_wccs_oracle(g, c):
 def reference_adjacency_matrix(g):
     """Row-stochastic matrix filled row by row from the neighbor lists."""
     a = np.zeros((g.n, g.n))
-    for i, nbrs in enumerate(g.out_neighbors):
+    for i, nbrs in enumerate(neighbor_lists(g)):
         a[i, list(nbrs)] = 1.0 / len(nbrs)
     return a
 
@@ -106,8 +172,8 @@ def reference_adjacency_matrix(g):
 def condensation_oracle(g, c):
     """Condensation out-edges from the SCC pair of every node-level edge."""
     succs = [set() for _ in c.sccs]
-    for i in range(g.n):
-        for j in g.out_neighbors[i]:
+    for i, nbrs in enumerate(neighbor_lists(g)):
+        for j in nbrs:
             if c.scc_of[i] != c.scc_of[j]:
                 succs[c.scc_of[i]].add(c.scc_of[j])
     return tuple(tuple(sorted(e)) for e in succs)
@@ -204,8 +270,8 @@ def reference_digraph_hash(g):
 
     h = hashlib.sha256()
     h.update(g.n.to_bytes(8, "little"))
-    for i in range(g.n):
-        for j in g.out_neighbors[i]:
+    for i, nbrs in enumerate(neighbor_lists(g)):
+        for j in nbrs:
             h.update(i.to_bytes(4, "little"))
             h.update(j.to_bytes(4, "little"))
     return h.hexdigest()[:16]

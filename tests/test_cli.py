@@ -248,6 +248,20 @@ class TestEdgeInputs:
             assert out == pytest.approx(expected, abs=1e-12)
 
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("model", ["sbc", "sbi"])
+    def test_check_on_overflowing_distances(self, tmp_path, capsys, model):
+        path = tmp_path / "state.json"
+        path.write_text('{"opinions": [-1e308, 1e308, 0], "bounds": [Infinity, 0.1, 0.1]}')
+        assert main(["check", "--state", str(path), "--model", model]) == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        out = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert out["epsilon"] == out["delta"] == [5e307] * 3
+
+
 class TestExperimentCommand:
     def write_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -12,11 +12,16 @@ from opinion_lab import (
     per_step_factor,
     pseudo_stable_check,
     simulate,
-    step,
 )
 from opinion_lab.stability import _weak_components
 
-from conftest import epoch_start_states, random_state, reference_digraph_hash, reference_simulate
+from conftest import (
+    epoch_start_states,
+    random_state,
+    reference_digraph_hash,
+    reference_simulate,
+    reference_step,
+)
 
 
 def test_digraph_hash_matches_edge_by_edge_reference(fig41_state):
@@ -31,18 +36,18 @@ def test_digraph_hash_matches_edge_by_edge_reference(fig41_state):
 
 class TestStep:
     def test_hand_evaluated_average(self, fig41_state):
-        out = step(fig41_state)
+        out = reference_step(fig41_state)
         assert out[0] == 0.0
         assert out[1] == pytest.approx((0 + 0.6 + 1) / 3, abs=1e-15)
         assert out[2] == 1.0
 
     def test_equilibrium_is_fixed(self):
         state = OpinionState([0.0, 0.5, 1.0], [0.25, 1.0, 0.25], Model.SBC)
-        assert np.array_equal(step(state), state.opinions)
+        assert np.array_equal(reference_step(state), state.opinions)
 
     def test_consensus_is_fixed(self):
         state = OpinionState([0.5] * 5, [0.2] * 5, Model.SBI)
-        assert np.array_equal(step(state), state.opinions)
+        assert np.array_equal(reference_step(state), state.opinions)
 
 
 class TestSimulate:
@@ -78,7 +83,7 @@ class TestSimulate:
             for k in range(len(traj.times) - 1):
                 if traj.times[k + 1] != traj.times[k] + 1:
                     continue
-                replayed = step(state.with_opinions(traj.states[k]))
+                replayed = reference_step(state.with_opinions(traj.states[k]))
                 assert np.array_equal(replayed, traj.states[k + 1])
 
     def test_topology_epochs_mark_exact_changes(self):
@@ -156,7 +161,7 @@ class TestSimulate:
                 # leave the state bitwise unchanged.
                 assert got.termination is Termination.TOLERANCE_REACHED
                 assert got.fixed_at == got.times[-1] + 1
-                assert np.array_equal(step(got.final_state()), got.states[-1])
+                assert np.array_equal(reference_step(got.final_state()), got.states[-1])
 
     def test_digraph_built_once_per_epoch(self, monkeypatch):
         from opinion_lab import dynamics

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,18 +10,22 @@ from opinion_lab import (
     adjacency_matrix,
     build_digraph,
     classify,
+    simulate,
     strongly_connected_components,
 )
+from opinion_lab.experiment import draw_state
 from opinion_lab.graph import ProximityDigraph, reachability
 
 from conftest import (
     condensation_oracle,
     digraph_oracle,
     epoch_start_states,
+    neighbor_lists,
     open_wccs_oracle,
     random_state,
     reachability_oracle,
     reference_adjacency_matrix,
+    tuple_strongly_connected_components,
 )
 
 
@@ -31,36 +37,57 @@ def self_loop_digraph(n):
     return ProximityDigraph(np.eye(n, dtype=bool))
 
 
+def path_digraph(n):
+    return ProximityDigraph(np.eye(n, dtype=bool) | np.eye(n, k=1, dtype=bool))
+
+
+def grid_state(rng, max_n=30):
+    """Opinions and bounds on a 1/16 grid: boundary ties and duplicates."""
+    n = int(rng.integers(1, max_n + 1))
+    kind = Model.SBC if rng.random() < 0.5 else Model.SBI
+    return OpinionState(rng.integers(0, 17, n) / 16, rng.integers(1, 9, n) / 16, kind)
+
+
+def late_sbi_states(runs=4):
+    """Every state of some SBI n = 300 runs: dense, clustered, and each one
+    the start of an epoch."""
+    states = []
+    for run in range(runs):
+        traj = simulate(draw_state(Model.SBI, 300, run, 0))
+        states.extend(traj.state_at_index(k) for k in range(len(traj.times)))
+    return states
+
+
 class TestBuildDigraph:
     def test_three_agent_neighbor_sets(self, fig41_state):
         g = build_digraph(fig41_state)
-        assert g.out_neighbors == ((0,), (0, 1, 2), (2,))
+        assert neighbor_lists(g) == ((0,), (0, 1, 2), (2,))
 
     def test_single_agent(self):
         g = build_digraph(OpinionState([0.3], [0.1]))
-        assert g.out_neighbors == ((0,),)
+        assert neighbor_lists(g) == ((0,),)
 
     def test_eight_agent_neighbor_sets(self, fig62_state):
         g = build_digraph(fig62_state)
         expected = digraph_oracle(fig62_state)
-        assert g.out_neighbors == expected
-        assert g.out_neighbors[7] == tuple(range(8))
-        assert g.out_neighbors[4] == (0, 1, 4, 5)
-        assert g.out_neighbors[6] == (2, 3, 6)
+        assert neighbor_lists(g) == expected
+        assert neighbor_lists(g)[7] == tuple(range(8))
+        assert neighbor_lists(g)[4] == (0, 1, 4, 5)
+        assert neighbor_lists(g)[6] == (2, 3, 6)
 
     def test_oracle_equivalence_random(self):
         rng = np.random.default_rng(7)
         for _ in range(1000):
             state = random_state(rng)
             g = build_digraph(state)
-            assert g.out_neighbors == digraph_oracle(state)
+            assert neighbor_lists(g) == digraph_oracle(state)
 
     def test_self_membership(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             state = random_state(rng)
             g = build_digraph(state)
-            assert all(i in g.out_neighbors[i] for i in range(state.n))
+            assert all(i in neighbor_lists(g)[i] for i in range(state.n))
 
     def test_homogeneous_bounds_make_models_agree(self):
         rng = np.random.default_rng(13)
@@ -70,12 +97,12 @@ class TestBuildDigraph:
             r = np.full(n, float(rng.uniform(0.05, 0.5)))
             sbc = build_digraph(OpinionState(y, r, Model.SBC))
             sbi = build_digraph(OpinionState(y, r, Model.SBI))
-            assert sbc.out_neighbors == sbi.out_neighbors
+            assert neighbor_lists(sbc) == neighbor_lists(sbi)
 
     def test_boundary_tolerance(self):
         state = OpinionState([0.0, 0.2500000001], [0.25, 0.25])
-        assert build_digraph(state).out_neighbors == ((0,), (1,))
-        assert build_digraph(state, tol=1e-9).out_neighbors == ((0, 1), (0, 1))
+        assert neighbor_lists(build_digraph(state)) == ((0,), (1,))
+        assert neighbor_lists(build_digraph(state, tol=1e-9)) == ((0, 1), (0, 1))
 
     def test_json_export(self, fig41_state):
         data = build_digraph(fig41_state).to_json()
@@ -111,6 +138,16 @@ class TestProximityDigraph:
             assert hash(a) == hash(b)
         assert complete_digraph(3) != self_loop_digraph(3)
 
+    def test_the_mask_alone_decides_equality_and_hash(self):
+        assert [f.name for f in dataclasses.fields(ProximityDigraph)] == ["mask"]
+        a = complete_digraph(3)
+        b = ProximityDigraph(np.ones((3, 3), dtype=np.int8))
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash((3, np.packbits(a.mask).tobytes()))
+        assert self_loop_digraph(2) != self_loop_digraph(3)
+        assert path_digraph(3) != ProximityDigraph(path_digraph(3).mask.T)
+        assert len({complete_digraph(3), b, path_digraph(3), self_loop_digraph(3)}) == 3
+
 
 class TestScc:
     def test_complete_graph_single_scc(self):
@@ -135,7 +172,7 @@ class TestScc:
                 for v in members:
                     position[v] = k
             for i in range(g.n):
-                for j in g.out_neighbors[i]:
+                for j in neighbor_lists(g)[i]:
                     if position[i] != position[j]:
                         # Successor components must already be emitted.
                         assert position[j] < position[i]
@@ -152,6 +189,56 @@ class TestScc:
                     for j in range(g.n):
                         same = reach[i, j] and reach[j, i]
                         assert same == (j in members)
+
+
+class TestMaskTarjan:
+    """Tarjan over mask rows against the tuple Tarjan it replaced: the same
+    SCCs in the same order."""
+
+    def assert_same_sccs(self, digraphs):
+        for g in digraphs:
+            assert strongly_connected_components(g) == tuple_strongly_connected_components(g)
+
+    def test_random_states(self):
+        rng = np.random.default_rng(101)
+        states = [random_state(rng, max_n=60, bounds_hi=0.2) for _ in range(300)]
+        self.assert_same_sccs(build_digraph(s) for s in states)
+
+    def test_tied_and_duplicate_states(self):
+        rng = np.random.default_rng(103)
+        self.assert_same_sccs(build_digraph(grid_state(rng)) for _ in range(300))
+
+    def test_single_agent(self):
+        self.assert_same_sccs([self_loop_digraph(1), build_digraph(OpinionState([0.5], [0.1]))])
+
+    def test_epoch_start_states(self):
+        rng = np.random.default_rng(107)
+        self.assert_same_sccs(build_digraph(s) for s in epoch_start_states(rng))
+
+    def test_dense_late_sbi_states(self):
+        self.assert_same_sccs(build_digraph(s) for s in late_sbi_states())
+
+    def test_random_masks(self):
+        # Digraphs no proximity rule produces: no interval structure.
+        rng = np.random.default_rng(109)
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            mask = (rng.random((n, n)) < rng.uniform(0.0, 0.2)) | np.eye(n, dtype=bool)
+            self.assert_same_sccs([ProximityDigraph(mask)])
+
+    def test_partition_matches_scipy(self):
+        csgraph = pytest.importorskip("scipy.sparse.csgraph")
+        rng = np.random.default_rng(113)
+        states = [random_state(rng, max_n=60, bounds_hi=0.2) for _ in range(100)]
+        states.extend(grid_state(rng) for _ in range(100))
+        states.extend(late_sbi_states(runs=1))
+        for state in states:
+            g = build_digraph(state)
+            _, labels = csgraph.connected_components(g.mask, directed=True, connection="strong")
+            groups = {}
+            for v, label in enumerate(labels.tolist()):
+                groups.setdefault(label, []).append(v)
+            assert sorted(strongly_connected_components(g)) == sorted(groups.values())
 
 
 class TestClassify:
@@ -202,7 +289,7 @@ class TestClassify:
             for members, cl in zip(c.sccs, c.classes):
                 if cl is SccClass.CLOSED:
                     for i in members:
-                        assert set(members) <= set(g.out_neighbors[i])
+                        assert set(members) <= set(neighbor_lists(g)[i])
             # Sinks are exactly the non-open components.
             for k, cl in enumerate(c.classes):
                 assert (len(c.condensation[k]) == 0) == (cl is not SccClass.OPEN)
@@ -271,3 +358,12 @@ class TestPredecessors:
             state = random_state(rng)
             g = build_digraph(state)
             assert np.array_equal(reachability(g.mask), reachability_oracle(g))
+
+    @pytest.mark.parametrize("digraph", [complete_digraph, path_digraph])
+    def test_large_closure_matches_oracle(self, digraph):
+        g = digraph(300)
+        reach = reachability(g.mask)
+        assert reach.dtype == bool
+        assert np.array_equal(reach, reachability_oracle(g))
+        expected = np.ones((300, 300), dtype=bool)
+        assert np.array_equal(reach, expected if digraph is complete_digraph else np.triu(expected))

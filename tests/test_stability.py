@@ -21,9 +21,9 @@ from opinion_lab import (
     simulate,
     stability_report,
 )
-from opinion_lab.graph import SccClass
+from opinion_lab.graph import SccClass, proximity_mask
 
-from conftest import random_state
+from conftest import neighbor_lists, random_state
 
 
 def sample_in_neighborhood(rng, z, radii, scale=1.0):
@@ -247,7 +247,7 @@ class TestAgreementSufficientCondition:
                 g = build_digraph(s_now)
                 for members in _weak_components(s_now):
                     assert any(
-                        all(j in g.out_neighbors[i] for i in members)
+                        all(j in neighbor_lists(g)[i] for i in members)
                         for j in members
                     )
         assert checked == 200
@@ -324,11 +324,11 @@ class TestConstantTopologyTheorem:
             x0_state = z_state.with_opinions(x0)
             f0 = fvct(x0_state)
             traj = simulate(x0_state, max_steps=200, limit_tol=0.0)
-            gz_edges = build_digraph(z_state).out_neighbors
+            gz_edges = neighbor_lists(build_digraph(z_state))
             for x in traj.states:
                 assert in_neighborhood(x, z_state, eps)
                 s_now = z_state.with_opinions(x)
-                assert build_digraph(s_now).out_neighbors == gz_edges
+                assert neighbor_lists(build_digraph(s_now)) == gz_edges
                 c = classify(build_digraph(s_now))
                 assert not any(cl is SccClass.MODERATE for cl in c.classes)
             assert np.max(np.abs(traj.states[-1] - f0)) < 1e-10
@@ -353,3 +353,37 @@ class TestStabilityReport:
     def test_single_agent_inf_serializes(self):
         report = stability_report(OpinionState([0.2], [0.1]))
         assert report.to_json()["epsilon"] == ["inf"]
+
+
+class TestExtremeMagnitudes:
+    """Opinions at ±1e308, where |y_i - y_j| overflows to inf, and
+    subnormal bounds."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "kind, mask, limit",
+        [
+            (Model.SBC, [[1, 1, 1], [0, 1, 0], [0, 0, 1]], [5e307, 1e308, 0.0]),
+            (Model.SBI, [[1, 0, 0], [1, 1, 0], [1, 0, 1]], [-1e308, -1e308, -1e308]),
+        ],
+    )
+    def test_overflowing_distances(self, kind, mask, limit):
+        # The infinite bound meets the overflowed distance |1e308 - -1e308|;
+        # the slack there is +inf, so each agent's nearest boundary is 1e308 away.
+        state = OpinionState([-1e308, 1e308, 0.0], [math.inf, 0.1, 0.1], kind)
+        assert np.array_equal(proximity_mask(state), np.array(mask, dtype=bool))
+        eps = equi_topology_distance(state)
+        delta = invariant_equi_topology_distance(state, eps)
+        assert np.array_equal(eps, [5e307] * 3)
+        assert np.array_equal(delta, [5e307] * 3)
+        assert in_neighborhood(state.opinions, state, delta)
+        assert fvct(state) == pytest.approx(limit, rel=1e-15)
+        report = stability_report(state).to_json()
+        assert report["epsilon"] == report["delta"] == [5e307] * 3
+
+    @pytest.mark.parametrize("kind", list(Model))
+    def test_subnormal_bounds(self, kind):
+        tiny = 5e-324
+        state = OpinionState([0.0, tiny], [tiny, tiny], kind)
+        assert proximity_mask(state).all()
+        assert np.array_equal(equi_topology_distance(state), [0.0, 0.0])
