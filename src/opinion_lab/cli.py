@@ -134,7 +134,7 @@ def cmd_classify(args) -> int:
     state = load_state(args.state, args.model)
     g = build_digraph(state)
     c = classify(g)
-    _emit({"digraph": g.to_json(), "classification": c.to_json()})
+    print(f'{{"digraph": {g.to_json()}, "classification": {json.dumps(c.to_json())}}}')
     return 0
 
 
@@ -205,6 +205,13 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opinion-lab",
@@ -220,9 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the dynamics from a state file")
     add_state_flags(p)
-    p.add_argument("--max-steps", dest="max_steps", type=int, default=100_000)
+    p.add_argument("--max-steps", dest="max_steps", type=positive_int, default=100_000)
     p.add_argument("--fixed-tol", dest="fixed_tol", type=float, default=0.0)
-    p.add_argument("--record-every", dest="record_every", type=int, default=1)
+    p.add_argument("--record-every", dest="record_every", type=positive_int, default=1)
     p.add_argument("--limit-tol", dest="limit_tol", type=float, default=1e-12)
     p.add_argument("--out-prefix", dest="out_prefix", default=None)
     p.set_defaults(func=cmd_simulate)
@@ -242,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="leader/rate/direction analysis")
     add_state_flags(p)
     p.add_argument("--trajectory", default=None, help="trajectory CSV (optional)")
-    p.add_argument("--max-steps", dest="max_steps", type=int, default=10_000)
+    p.add_argument("--max-steps", dest="max_steps", type=positive_int, default=10_000)
     p.add_argument("--window", type=int, default=50)
     p.set_defaults(func=cmd_analyze)
 

@@ -8,6 +8,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -93,7 +94,8 @@ class Trajectory:
 @dataclass(eq=False)
 class Epoch:
     """One topology epoch: the digraph, its label and its averaging matrix,
-    fixed from step ``start`` until the proximity mask changes."""
+    fixed from step ``start`` until the proximity mask changes; the rest is
+    computed on first use."""
 
     start: int
     first_state: np.ndarray
@@ -102,12 +104,19 @@ class Epoch:
     matrix: np.ndarray
     _limit: Optional[np.ndarray] = field(default=None, repr=False)
 
+    @cached_property
+    def classification(self):
+        return classify(self.digraph)
+
+    @cached_property
+    def decomposition(self):
+        return canonical_decomposition(self.matrix, self.classification)
+
     def fvct(self) -> np.ndarray:
         """Final value at constant topology of the epoch's first state (the
         same for every state of the epoch), computed once."""
         if self._limit is None:
-            decomp = canonical_decomposition(self.matrix, classify(self.digraph))
-            self._limit = fvct_canonical(decomp, self.first_state)
+            self._limit = fvct_canonical(self.decomposition, self.first_state)
         return self._limit
 
 
@@ -244,43 +253,27 @@ def pseudo_stable_check(
     if not traj.is_dense():
         raise ValueError("trajectory must be recorded densely (record_every=1)")
     limit = np.asarray(limit, dtype=float)
-    states = traj.states
-    n = traj.n
-    npairs = len(states) - 1
+    if limit.shape != (traj.n,):
+        raise ValueError(f"limit must have shape ({traj.n},), got {limit.shape}")
+    x = np.array(traj.states, dtype=float)
+    a, b = x[:-1], x[1:]
+    npairs = len(a)
 
-    holds = 0
-    fixed: set = set()
-    converging: set = set()
-    for i in range(n):
-        li = limit[i]
-        fixed_from = 0
-        conv_from = 0
-        # Earliest pair index from which each clause holds through the end.
-        for k in range(npairs - 1, -1, -1):
-            a, b = states[k][i], states[k + 1][i]
-            if not (abs(a - li) <= fixed_tol and abs(b - li) <= fixed_tol):
-                fixed_from = k + 1
-                break
-        for k in range(npairs - 1, -1, -1):
-            a, b = states[k][i], states[k + 1][i]
-            if not (a < b < li or a > b > li):
-                conv_from = k + 1
-                break
-        if fixed_from == npairs and abs(states[-1][i] - li) > fixed_tol:
-            # Not even the final state sits at the limit.
-            fixed_from = npairs + 1
-        # The converging clause needs at least one verifiable pair.
-        if conv_from >= npairs:
-            conv_from = npairs + 1
-        best = min(fixed_from, conv_from)
-        if best > npairs:
-            return PseudoStableVerdict(None, frozenset(), frozenset())
-        best = min(best, npairs)
-        holds = max(holds, best)
-        if fixed_from <= conv_from:
-            fixed.add(i)
-        else:
-            converging.add(i)
+    at_limit = np.abs(x - limit) <= fixed_tol
+    ok = np.stack([at_limit[:-1] & at_limit[1:], ((a < b) & (b < limit)) | ((a > b) & (b > limit))])
+    # Per clause and agent, the earliest pair index from which the clause
+    # holds through the end: the pair count less its all-true suffix.
+    fixed_from, conv_from = npairs - np.logical_and.accumulate(ok[:, ::-1], axis=1).sum(axis=1)
+    # Not even the final state sits at the limit.
+    fixed_from[(fixed_from == npairs) & (np.abs(x[-1] - limit) > fixed_tol)] = npairs + 1
+    # The converging clause needs at least one verifiable pair.
+    conv_from[conv_from == npairs] = npairs + 1
+    best = np.minimum(fixed_from, conv_from)
+    if (best > npairs).any():
+        return PseudoStableVerdict(None, frozenset(), frozenset())
+    is_fixed = fixed_from <= conv_from
     return PseudoStableVerdict(
-        traj.times[holds], frozenset(fixed), frozenset(converging)
+        traj.times[int(best.max())],
+        frozenset(np.flatnonzero(is_fixed).tolist()),
+        frozenset(np.flatnonzero(~is_fixed).tolist()),
     )

@@ -46,9 +46,12 @@ class ProximityDigraph:
     def __hash__(self) -> int:
         return hash((self.n, np.packbits(self.mask).tobytes()))
 
-    def to_json(self) -> dict:
-        """Adjacency-list export, 0-based indices."""
-        return {"n": self.n, "edges": np.argwhere(self.mask).tolist()}
+    def to_json(self) -> str:
+        """JSON text of ``{"n": n, "edges": [[i, j], ...]}``, edges ascending, joined
+        from row tokens; no row is empty, since every node holds its self-loop."""
+        tail = np.array([f"{j}]" for j in range(self.n)], dtype=object)
+        rows = (f"[{i}, " + f", [{i}, ".join(tail[row]) for i, row in enumerate(self.mask))
+        return f'{{"n": {self.n}, "edges": [{", ".join(rows)}]}}'
 
 
 class SccClass(str, Enum):

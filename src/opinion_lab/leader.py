@@ -91,11 +91,15 @@ def leader_assignment(
 
 
 def analyze_final_topology(traj: Trajectory):
-    """Classification, decomposition, fvct, and leaders at the final epoch."""
+    """Classification, decomposition, fvct, and leaders at the final state's
+    topology, classified by the simulated final epoch if it has that digraph."""
     final = traj.final_state()
     g = build_digraph(final)
-    c = classify(g)
-    d = canonical_decomposition(adjacency_matrix(g), c)
+    if traj.final_epoch is not None and traj.final_epoch.digraph == g:
+        c, d = traj.final_epoch.classification, traj.final_epoch.decomposition
+    else:
+        c = classify(g)
+        d = canonical_decomposition(adjacency_matrix(g), c)
     f = fvct_canonical(d, final.opinions)
     la = leader_assignment(c, d)
     return g, c, d, f, la

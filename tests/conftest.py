@@ -47,6 +47,13 @@ def random_state(rng, n=None, kind=None, max_n=12, bounds_hi=0.5):
     return OpinionState(y, r, kind)
 
 
+def grid_state(rng, max_n=30):
+    """Opinions and bounds on a 1/16 grid: boundary ties and duplicates."""
+    n = int(rng.integers(1, max_n + 1))
+    kind = Model.SBC if rng.random() < 0.5 else Model.SBI
+    return OpinionState(rng.integers(0, 17, n) / 16, rng.integers(1, 9, n) / 16, kind)
+
+
 def digraph_oracle(state):
     """Direct double-loop evaluation of the neighbor inequality."""
     y, r = state.opinions, state.bounds
@@ -378,3 +385,81 @@ def reference_run_single(model, n, run, cfg):
         converged=converged,
         final_residual=float(np.max(np.abs(x - f))),
     )
+
+
+# --- The analyses as they ran before they became array code, kept as
+# oracles. ----------------------------------------------------------------
+
+
+def digraph_json_oracle(g):
+    """The edge-list JSON text as ``json.dumps`` prints the dict export."""
+    import json
+
+    return json.dumps({"n": g.n, "edges": np.argwhere(g.mask).tolist()})
+
+
+def loop_pseudo_stable_check(traj, limit, fixed_tol=0.0):
+    """Agent by agent, step by step: the pseudo-stability scan in Python."""
+    from opinion_lab.dynamics import PseudoStableVerdict
+
+    if len(traj.times) < 2:
+        raise ValueError("need at least 2 recorded steps")
+    if not traj.is_dense():
+        raise ValueError("trajectory must be recorded densely (record_every=1)")
+    limit = np.asarray(limit, dtype=float)
+    states = traj.states
+    n = traj.n
+    npairs = len(states) - 1
+
+    holds = 0
+    fixed: set = set()
+    converging: set = set()
+    for i in range(n):
+        li = limit[i]
+        fixed_from = 0
+        conv_from = 0
+        # Earliest pair index from which each clause holds through the end.
+        for k in range(npairs - 1, -1, -1):
+            a, b = states[k][i], states[k + 1][i]
+            if not (abs(a - li) <= fixed_tol and abs(b - li) <= fixed_tol):
+                fixed_from = k + 1
+                break
+        for k in range(npairs - 1, -1, -1):
+            a, b = states[k][i], states[k + 1][i]
+            if not (a < b < li or a > b > li):
+                conv_from = k + 1
+                break
+        if fixed_from == npairs and abs(states[-1][i] - li) > fixed_tol:
+            # Not even the final state sits at the limit.
+            fixed_from = npairs + 1
+        # The converging clause needs at least one verifiable pair.
+        if conv_from >= npairs:
+            conv_from = npairs + 1
+        best = min(fixed_from, conv_from)
+        if best > npairs:
+            return PseudoStableVerdict(None, frozenset(), frozenset())
+        best = min(best, npairs)
+        holds = max(holds, best)
+        if fixed_from <= conv_from:
+            fixed.add(i)
+        else:
+            converging.add(i)
+    return PseudoStableVerdict(
+        traj.times[holds], frozenset(fixed), frozenset(converging)
+    )
+
+
+def reference_analyze_final_topology(traj):
+    """Classifies the final state's digraph afresh, whatever the trajectory
+    already knows about its final epoch."""
+    from opinion_lab import adjacency_matrix, build_digraph, classify
+    from opinion_lab.leader import leader_assignment
+    from opinion_lab.matrix import canonical_decomposition, fvct_canonical
+
+    final = traj.final_state()
+    g = build_digraph(final)
+    c = classify(g)
+    d = canonical_decomposition(adjacency_matrix(g), c)
+    f = fvct_canonical(d, final.opinions)
+    la = leader_assignment(c, d)
+    return g, c, d, f, la

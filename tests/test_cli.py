@@ -6,6 +6,8 @@ import pytest
 from opinion_lab.cli import InputError, load_state, load_trajectory_csv, main
 from opinion_lab.state import Model, OpinionState
 
+from conftest import grid_state, random_state
+
 
 @pytest.fixture
 def three_agent_json(tmp_path):
@@ -114,6 +116,28 @@ class TestOtherCommands:
         assert kinds[(0,)] == "closed_minded"
         assert kinds[(1,)] == "open_minded"
 
+    def test_classify_prints_the_dict_export(self, tmp_path, capsys):
+        from opinion_lab import build_digraph, classify, simulate
+        from opinion_lab.experiment import draw_state
+
+        rng = np.random.default_rng(157)
+        states = [OpinionState([0.5], [0.1]), OpinionState([0.0, 0.6, 1.0], [0.25, 1.0, 0.25])]
+        states += [random_state(rng, max_n=60, bounds_hi=0.2) for _ in range(10)]
+        states += [grid_state(rng) for _ in range(10)]
+        traj = simulate(draw_state(Model.SBI, 300, 0, 0))
+        states.append(traj.state_at_index(len(traj.times) - 2))
+        for k, state in enumerate(states):
+            path = tmp_path / f"state{k}.json"
+            path.write_text(json.dumps(
+                {"opinions": state.opinions.tolist(), "bounds": state.bounds.tolist()}
+            ))
+            rc = main(["classify", "--state", str(path), "--model", state.kind.value])
+            assert rc == 0
+            g = build_digraph(state)
+            digraph = {"n": g.n, "edges": np.argwhere(g.mask).tolist()}
+            want = json.dumps({"digraph": digraph, "classification": classify(g).to_json()})
+            assert capsys.readouterr().out == want + "\n"
+
     def test_check_reports_distances(self, three_agent_json, capsys):
         rc = main(["check", "--state", three_agent_json])
         assert rc == 0
@@ -152,6 +176,30 @@ class TestOtherCommands:
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert "rates" in out and "directions" in out
+        assert len(calls) == 1
+
+    def test_analyze_classifies_the_final_topology_once(
+        self, three_agent_json, monkeypatch, capsys
+    ):
+        import opinion_lab
+        from opinion_lab import graph
+
+        traj = opinion_lab.simulate(load_state(three_agent_json, "sbc"), max_steps=10_000)
+        assert traj.termination is opinion_lab.Termination.TOLERANCE_REACHED
+        original = graph.classify
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return original(g)
+
+        for name in ("cli", "dynamics", "graph", "leader", "matrix", "stability"):
+            module = getattr(opinion_lab, name)
+            if getattr(module, "classify", None) is original:
+                monkeypatch.setattr(module, "classify", counted)
+        rc = main(["analyze", "--state", three_agent_json])
+        assert rc == 0
+        assert "pseudo_stable" in json.loads(capsys.readouterr().out)
         assert len(calls) == 1
 
     def test_analyze_from_saved_trajectory(
@@ -325,7 +373,13 @@ class TestExitCodes:
         assert main(["frobnicate"]) == 1
 
     def test_bad_flag_value(self, three_agent_json, capsys):
-        rc = main(
-            ["simulate", "--state", three_agent_json, "--max-steps", "0"]
-        )
-        assert rc == 2
+        for cmd, flag in (
+            ("simulate", "--max-steps"),
+            ("simulate", "--record-every"),
+            ("analyze", "--max-steps"),
+        ):
+            rc = main([cmd, "--state", three_agent_json, flag, "0"])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert f"argument {flag}: must be >= 1, got 0" in err
+            assert "Traceback" not in err

@@ -5,6 +5,7 @@ from opinion_lab import (
     Model,
     OpinionState,
     Termination,
+    Trajectory,
     adjacency_matrix,
     build_digraph,
     digraph_hash,
@@ -17,6 +18,8 @@ from opinion_lab.stability import _weak_components
 
 from conftest import (
     epoch_start_states,
+    grid_state,
+    loop_pseudo_stable_check,
     random_state,
     reference_digraph_hash,
     reference_simulate,
@@ -262,6 +265,70 @@ class TestPseudoStable:
             verdict = pseudo_stable_check(traj, f, fixed_tol=1e-12)
             assert verdict.holds_from is not None
         assert checked >= 5
+
+
+class TestPseudoStableScan:
+    """The suffix scans against the agent-by-agent loop they replaced."""
+
+    @staticmethod
+    def trajectories(rng):
+        for k in range(120):
+            if k % 4 == 0:
+                state = grid_state(rng, max_n=12)
+            elif k % 4 == 1:
+                state = OpinionState([rng.uniform()], [rng.uniform(0.01, 0.5)])
+            else:
+                state = random_state(rng, max_n=12)
+            limit_tol = (1e-12, 1e-6, 0.0)[k % 3]
+            yield simulate(state, max_steps=int(rng.integers(2, 300)), limit_tol=limit_tol)
+
+    @staticmethod
+    def limits(traj):
+        f = fvct(traj.final_state())
+        yield f
+        yield traj.final_epoch.fvct()
+        yield traj.states[-1]
+        yield traj.states[0]
+        yield np.nextafter(f, np.inf)
+
+    @pytest.mark.parametrize("fixed_tol", [0.0, 1e-12])
+    def test_matches_loop_oracle(self, fixed_tol):
+        rng = np.random.default_rng(139)
+        verdicts = []
+        for traj in self.trajectories(rng):
+            if len(traj.times) < 2:
+                continue
+            for limit in self.limits(traj):
+                got = pseudo_stable_check(traj, limit, fixed_tol=fixed_tol)
+                assert got == loop_pseudo_stable_check(traj, limit, fixed_tol=fixed_tol)
+                verdicts.append(got)
+        # The sample reaches every branch: no verdict, and both sets.
+        assert any(v.holds_from is None for v in verdicts)
+        assert any(v.holds_from is not None and v.holds_from > 0 for v in verdicts)
+        assert any(v.fixed_set and v.converging_set for v in verdicts)
+
+    def test_single_agent(self):
+        traj = simulate(OpinionState([0.3], [0.1]), max_steps=5)
+        assert len(traj.times) == 2
+        for limit in ([0.3], [0.4]):
+            assert pseudo_stable_check(traj, limit) == loop_pseudo_stable_check(traj, limit)
+        assert pseudo_stable_check(traj, [0.3]).fixed_set == frozenset({0})
+        assert pseudo_stable_check(traj, [0.4]).holds_from is None
+
+    def test_an_agent_both_fixed_and_converging_counts_as_fixed(self):
+        # Inside the tolerance and strictly approaching: both clauses hold
+        # from the same pair.
+        traj = Trajectory(bounds=np.array([0.1, 0.1]), kind=Model.SBC, times=[0, 1, 2])
+        traj.states = [np.array([0.5 - d, 0.9 + d]) for d in (4e-13, 2e-13, 1e-13)]
+        got = pseudo_stable_check(traj, [0.5, 0.9], fixed_tol=1e-12)
+        assert got == loop_pseudo_stable_check(traj, [0.5, 0.9], fixed_tol=1e-12)
+        assert got.fixed_set == frozenset({0, 1}) and got.holds_from == 0
+
+    @pytest.mark.parametrize("limit", [[0.5], [0.0, 0.5, 1.0, 1.0], [[0.0, 0.5, 1.0]]])
+    def test_rejects_a_limit_of_the_wrong_shape(self, fig41_state, limit):
+        traj = simulate(fig41_state, max_steps=20)
+        with pytest.raises(ValueError, match="shape"):
+            pseudo_stable_check(traj, limit)
 
 
 class TestSerialization:

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from opinion_lab.graph import ProximityDigraph, reachability
 
 from conftest import (
     condensation_oracle,
+    digraph_json_oracle,
     digraph_oracle,
     epoch_start_states,
+    grid_state,
     neighbor_lists,
     open_wccs_oracle,
     random_state,
@@ -39,13 +42,6 @@ def self_loop_digraph(n):
 
 def path_digraph(n):
     return ProximityDigraph(np.eye(n, dtype=bool) | np.eye(n, k=1, dtype=bool))
-
-
-def grid_state(rng, max_n=30):
-    """Opinions and bounds on a 1/16 grid: boundary ties and duplicates."""
-    n = int(rng.integers(1, max_n + 1))
-    kind = Model.SBC if rng.random() < 0.5 else Model.SBI
-    return OpinionState(rng.integers(0, 17, n) / 16, rng.integers(1, 9, n) / 16, kind)
 
 
 def late_sbi_states(runs=4):
@@ -105,7 +101,7 @@ class TestBuildDigraph:
         assert neighbor_lists(build_digraph(state, tol=1e-9)) == ((0, 1), (0, 1))
 
     def test_json_export(self, fig41_state):
-        data = build_digraph(fig41_state).to_json()
+        data = json.loads(build_digraph(fig41_state).to_json())
         assert data["n"] == 3
         assert [0, 0] in data["edges"]
         assert [1, 0] in data["edges"]
@@ -147,6 +143,39 @@ class TestProximityDigraph:
         assert self_loop_digraph(2) != self_loop_digraph(3)
         assert path_digraph(3) != ProximityDigraph(path_digraph(3).mask.T)
         assert len({complete_digraph(3), b, path_digraph(3), self_loop_digraph(3)}) == 3
+
+
+class TestDigraphJson:
+    """The edge-list text joined from mask rows against ``json.dumps`` of
+    the dict export it replaced: the same text, byte for byte."""
+
+    def assert_same_text(self, digraphs):
+        for g in digraphs:
+            assert g.to_json() == digraph_json_oracle(g)
+
+    def test_random_states(self):
+        rng = np.random.default_rng(127)
+        self.assert_same_text(
+            build_digraph(random_state(rng, max_n=60, bounds_hi=0.2)) for _ in range(200)
+        )
+
+    def test_tied_and_duplicate_states(self):
+        rng = np.random.default_rng(131)
+        self.assert_same_text(build_digraph(grid_state(rng)) for _ in range(200))
+
+    def test_single_agent(self):
+        self.assert_same_text([self_loop_digraph(1), build_digraph(OpinionState([0.5], [0.1]))])
+        assert self_loop_digraph(1).to_json() == '{"n": 1, "edges": [[0, 0]]}'
+
+    def test_epoch_start_states(self):
+        rng = np.random.default_rng(137)
+        self.assert_same_text(build_digraph(s) for s in epoch_start_states(rng, runs=10))
+
+    def test_dense_late_sbi_states(self):
+        self.assert_same_text(build_digraph(s) for s in late_sbi_states(runs=1))
+
+    def test_complete_and_path_digraphs(self):
+        self.assert_same_text([complete_digraph(300), path_digraph(300), self_loop_digraph(12)])
 
 
 class TestScc:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from opinion_lab import (
     fvct,
     simulate,
 )
+from opinion_lab.cli import load_trajectory_csv
+from opinion_lab.dynamics import Termination
 from opinion_lab.graph import SccClass
 from opinion_lab.leader import (
     DirectionVerdict,
@@ -21,7 +25,7 @@ from opinion_lab.leader import (
     verify_rate_prediction,
 )
 
-from conftest import random_state, reachability_oracle
+from conftest import random_state, reachability_oracle, reference_analyze_final_topology
 
 
 def anchored_state(rng):
@@ -145,6 +149,76 @@ class TestAnalyzeFinalTopology:
             _, c, _, _, _ = analyze_final_topology(traj)
             assert not any(cl is SccClass.MODERATE for cl in c.classes)
         assert checked > 20
+
+
+def assert_same_pieces(got, want):
+    """The five pieces of the final topology, equal bit for bit."""
+    (g, c, d, f, la), (g2, c2, d2, f2, la2) = got, want
+    assert g == g2 and c == c2 and la == la2
+    for fld in dataclasses.fields(d):
+        a, b = getattr(d, fld.name), getattr(d2, fld.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        else:
+            assert a == b
+    assert f.tobytes() == f2.tobytes()
+
+
+class TestFinalTopologyFromTheEpoch:
+    """The final epoch's cached classification against classifying the
+    final state afresh."""
+
+    def test_tolerance_stop_reuses_the_epoch(self, fig41_state):
+        traj = simulate(fig41_state)
+        assert traj.termination is Termination.TOLERANCE_REACHED
+        got = analyze_final_topology(traj)
+        assert got[1] is traj.final_epoch.classification
+        assert got[2] is traj.final_epoch.decomposition
+        assert_same_pieces(got, reference_analyze_final_topology(traj))
+
+    def test_fixed_stop(self, finite_fix_state):
+        traj = simulate(finite_fix_state, limit_tol=0.0)
+        assert traj.termination is Termination.FIXED_STATE
+        assert_same_pieces(analyze_final_topology(traj), reference_analyze_final_topology(traj))
+
+    def test_max_steps_stop(self, fig62_state):
+        traj = simulate(fig62_state, max_steps=30, limit_tol=0.0)
+        assert traj.termination is Termination.MAX_STEPS
+        assert_same_pieces(analyze_final_topology(traj), reference_analyze_final_topology(traj))
+
+    def test_max_steps_stop_past_the_last_epoch(self):
+        # Stop each run at one of its epoch starts: the recorded final
+        # state already has the next epoch's digraph.
+        rng = np.random.default_rng(149)
+        checked = 0
+        for _ in range(40):
+            state = random_state(rng, max_n=10)
+            starts = [t for t, _ in simulate(state, max_steps=300).topology_epochs[1:]]
+            for t in starts:
+                traj = simulate(state, max_steps=t)
+                assert traj.termination is Termination.MAX_STEPS
+                assert traj.final_epoch.digraph != build_digraph(traj.final_state())
+                assert_same_pieces(
+                    analyze_final_topology(traj), reference_analyze_final_topology(traj)
+                )
+                checked += 1
+        assert checked >= 20
+
+    def test_random_runs(self):
+        rng = np.random.default_rng(151)
+        stops = set()
+        for _ in range(60):
+            traj = simulate(random_state(rng, max_n=12), max_steps=int(rng.integers(1, 200)))
+            stops.add(traj.termination)
+            assert_same_pieces(analyze_final_topology(traj), reference_analyze_final_topology(traj))
+        assert stops == set(Termination)
+
+    def test_loaded_trajectory(self, fig41_state, tmp_path):
+        path = tmp_path / "traj.csv"
+        simulate(fig41_state, max_steps=40, limit_tol=0.0).to_csv(path)
+        traj = load_trajectory_csv(str(path), fig41_state)
+        assert traj.final_epoch is None
+        assert_same_pieces(analyze_final_topology(traj), reference_analyze_final_topology(traj))
 
 
 class TestRatePrediction:
