@@ -11,6 +11,8 @@ import csv
 import json
 import logging
 import sys
+from dataclasses import asdict
+from functools import cache
 
 import numpy as np
 
@@ -72,7 +74,7 @@ def load_state(path, model) -> OpinionState:
 
 def load_trajectory_csv(path, state: OpinionState) -> Trajectory:
     """Rehydrate a trajectory from the CSV written by `simulate`."""
-    traj = Trajectory(bounds=state.bounds, kind=state.kind)
+    times, rows = [], []
     try:
         with open(path) as fh:
             reader = csv.reader(fh)
@@ -81,26 +83,30 @@ def load_trajectory_csv(path, state: OpinionState) -> Trajectory:
                 raise InputError(f"{path}: missing trajectory header")
             for lineno, row in enumerate(reader, start=2):
                 try:
-                    traj.times.append(int(row[0]))
-                    traj.states.append(np.array([float(v) for v in row[1:]]))
+                    times.append(int(row[0]))
+                    rows.append([float(v) for v in row[1:]])
                 except (ValueError, IndexError) as exc:
                     raise InputError(f"{path}:{lineno}: {exc}") from exc
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    if not traj.states:
+    if not rows:
         raise InputError(f"{path}: empty trajectory")
-    if any(len(x) != state.n for x in traj.states):
+    if any(len(x) != state.n for x in rows):
         raise InputError(f"{path}: row width does not match state size")
-    if not all(np.isfinite(x).all() for x in traj.states):
+    states = np.array(rows)
+    if not np.isfinite(states).all():
         raise InputError(f"{path}: opinions must be finite")
     # Rebuild topology epochs from the recorded states.
+    epochs = []
     prev = None
-    for t, x in zip(traj.times, traj.states):
+    for t, x in zip(times, states):
         mask = _neighbor_mask(x, state.bounds, state.kind)
         if prev is None or not np.array_equal(mask, prev):
-            traj.topology_epochs.append((t, digraph_hash(ProximityDigraph(mask))))
+            epochs.append((t, digraph_hash(ProximityDigraph(mask))))
             prev = mask
-    return traj
+    return Trajectory(
+        bounds=state.bounds, kind=state.kind, times=times, states=states, topology_epochs=epochs
+    )
 
 
 def _emit(obj) -> None:
@@ -123,7 +129,7 @@ def cmd_simulate(args) -> int:
         {
             "steps": traj.times[-1],
             "termination": str(traj.termination),
-            "final": [float(v) for v in traj.states[-1]],
+            "final": traj.states[-1].tolist(),
             **traj.events_json(),
         }
     )
@@ -159,30 +165,10 @@ def cmd_analyze(args) -> int:
     _, c, _, f, la = analyze_final_topology(traj)
     report = {"leaders": la.to_json(c)}
     # The rate check needs its window inside the final topology epoch.
-    tail_start = traj.topology_epochs[-1][0]
-    window = min(args.window, sum(1 for t in traj.times if t >= tail_start))
+    window = min(args.window, len(traj.times) - traj.tail_index())
     if window >= 10:
-        report["rates"] = [
-            {
-                "agent": v.agent,
-                "scc_id": v.scc_id,
-                "leader_id": v.leader_id,
-                "leader_radius": v.leader_radius,
-                "factor": v.factor,
-                "deviation": v.deviation,
-                "excluded": v.excluded,
-            }
-            for v in verify_rate_prediction(traj, c, f, la, window=window)
-        ]
-    report["directions"] = [
-        {
-            "follower_id": v.follower_id,
-            "leader_id": v.leader_id,
-            "applicable": v.applicable,
-            "matches_from": v.matches_from,
-        }
-        for v in verify_direction_prediction(traj, c, f, la)
-    ]
+        report["rates"] = [asdict(v) for v in verify_rate_prediction(traj, c, f, la, window=window)]
+    report["directions"] = [asdict(v) for v in verify_direction_prediction(traj, c, f, la)]
     if len(traj.times) >= 2 and traj.is_dense():
         verdict = pseudo_stable_check(traj, f)
         report["pseudo_stable"] = {
@@ -212,7 +198,10 @@ def positive_int(text: str) -> int:
     return value
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later
+    call (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="opinion-lab",
         description="Bounded-confidence/influence opinion dynamics toolkit",

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -40,17 +41,18 @@ class Termination(str, Enum):
 class Trajectory:
     """Recorded opinion vectors with topology-change and fixed-point events.
 
-    ``times[k]`` is the step at which ``states[k]`` was recorded; recording
-    is dense when ``record_every=1``.  ``topology_epochs`` holds
-    ``(start_time, hash)`` for every digraph change, recorded exactly even
-    when states are downsampled.  ``final_epoch`` is the last ``Epoch``
-    simulated; it is not serialised (``None`` for a loaded trajectory).
+    ``states`` is one ``(T, n)`` float array: ``states[k]`` was recorded at
+    step ``times[k]`` (Python ints); recording is dense when
+    ``record_every=1``.  ``topology_epochs`` holds ``(start_time, hash)``
+    for every digraph change, recorded exactly even when states are
+    downsampled.  ``final_epoch`` is the last ``Epoch`` simulated; it is not
+    serialised (``None`` for a loaded trajectory).
     """
 
     bounds: np.ndarray
     kind: Model
-    times: list = field(default_factory=list)
-    states: list = field(default_factory=list)
+    times: list
+    states: np.ndarray
     topology_epochs: list = field(default_factory=list)
     fixed_at: Optional[int] = None
     termination: Termination = Termination.MAX_STEPS
@@ -66,9 +68,13 @@ class Trajectory:
     def state_at_index(self, k: int) -> OpinionState:
         return OpinionState(self.states[k], self.bounds, self.kind)
 
+    def tail_index(self) -> int:
+        """Index of the first recorded state in the final topology epoch:
+        ``states[tail_index():]`` is the constant-topology tail."""
+        return bisect_left(self.times, self.topology_epochs[-1][0])
+
     def is_dense(self) -> bool:
-        times = self.times
-        return all(b - a == 1 for a, b in zip(times, times[1:]))
+        return bool((np.diff(self.times) == 1).all())
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -155,8 +161,9 @@ def simulate(
         raise ValueError("record_every must be >= 1")
 
     x = np.array(state.opinions, dtype=float)
-    traj = Trajectory(bounds=state.bounds, kind=state.kind)
-    epoch = None
+    times, rows, epochs = [], [], []
+    epoch = fixed_at = None
+    termination = Termination.MAX_STEPS
 
     for t in range(max_steps):
         if epoch is None or (
@@ -165,43 +172,47 @@ def simulate(
             now = state.with_opinions(x)
             g = build_digraph(now)
             epoch = Epoch(t, now.opinions, g, digraph_hash(g), adjacency_matrix(g))
-            traj.topology_epochs.append((t, epoch.label))
-            traj.final_epoch = epoch
+            epochs.append((t, epoch.label))
 
+        # x is rebound each step, never written in place, so a row may hold it.
         if t % record_every == 0:
-            traj.times.append(t)
-            traj.states.append(x.copy())
+            times.append(t)
+            rows.append(x)
 
         x_next = epoch.matrix @ x
         moved = float(np.max(np.abs(x_next - x)))
         fixed = moved <= fixed_tol if fixed_tol > 0.0 else not (x_next != x).any()
         if fixed:
-            traj.fixed_at = t + 1
+            fixed_at = t + 1
         if (
             limit_tol > 0.0
             and t > epoch.start
             and moved < _LIMIT_MARGIN * limit_tol
             and np.max(np.abs(x - epoch.fvct())) < limit_tol
         ):
-            traj.termination = Termination.TOLERANCE_REACHED
-            _record_final(traj, t, x)
-            return traj
+            termination = Termination.TOLERANCE_REACHED
+            break
         if fixed:
-            traj.termination = Termination.FIXED_STATE
-            _record_final(traj, t + 1, x_next)
-            return traj
+            termination = Termination.FIXED_STATE
+            t, x = t + 1, x_next
+            break
         x = x_next
+    else:
+        t = max_steps
 
-    traj.termination = Termination.MAX_STEPS
-    _record_final(traj, max_steps, x)
-    return traj
-
-
-def _record_final(traj: Trajectory, t: int, x: np.ndarray) -> None:
-    if traj.times and traj.times[-1] == t:
-        return
-    traj.times.append(t)
-    traj.states.append(np.array(x, dtype=float))
+    if times[-1] != t:
+        times.append(t)
+        rows.append(x)
+    return Trajectory(
+        bounds=state.bounds,
+        kind=state.kind,
+        times=times,
+        states=np.stack(rows),
+        topology_epochs=epochs,
+        fixed_at=fixed_at,
+        termination=termination,
+        final_epoch=epoch,
+    )
 
 
 def per_step_factor(
@@ -221,11 +232,10 @@ def per_step_factor(
     f = np.asarray(f, dtype=float)
     if not (len(x_t) == len(x_next) == len(f)):
         raise ValueError("vectors must share a length")
-    out = []
-    for a, b, fi in zip(x_t, x_next, f):
-        denom = a - fi
-        out.append((b - fi) / denom if abs(denom) > tiny else None)
-    return out
+    denom = x_t - f
+    defined = np.abs(denom) > tiny
+    ratio = np.divide(x_next - f, denom, out=np.zeros_like(denom), where=defined)
+    return [q if ok else None for q, ok in zip(ratio.tolist(), defined.tolist())]
 
 
 @dataclass(frozen=True)
@@ -255,7 +265,7 @@ def pseudo_stable_check(
     limit = np.asarray(limit, dtype=float)
     if limit.shape != (traj.n,):
         raise ValueError(f"limit must have shape ({traj.n},), got {limit.shape}")
-    x = np.array(traj.states, dtype=float)
+    x = traj.states
     a, b = x[:-1], x[1:]
     npairs = len(a)
 

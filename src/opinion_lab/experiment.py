@@ -13,7 +13,7 @@ import hashlib
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -67,18 +67,7 @@ class ExperimentConfig:
     def from_json_file(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
             raw = json.load(fh)
-        known = {
-            "agent_counts",
-            "models",
-            "runs",
-            "opinion_range",
-            "bounds_range",
-            "seed",
-            "max_steps",
-            "limit_tol",
-            "check_every",
-        }
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
         for key in ("opinion_range", "bounds_range"):

@@ -98,29 +98,29 @@ class Classification:
         }
 
 
-def proximity_mask(state: OpinionState, tol: float = 0.0) -> np.ndarray:
+def proximity_mask(state: OpinionState) -> np.ndarray:
     """Boolean edge matrix of the neighbor inequality, unvalidated (cheap
     enough for per-step change detection)."""
-    return _neighbor_mask(state.opinions, state.bounds, state.kind, tol)
+    return _neighbor_mask(state.opinions, state.bounds, state.kind)
 
 
-def _neighbor_mask(y: np.ndarray, r: np.ndarray, kind: Model, tol: float = 0.0) -> np.ndarray:
+def _neighbor_mask(y: np.ndarray, r: np.ndarray, kind: Model) -> np.ndarray:
     """``proximity_mask`` on bare vectors, for loops that step opinions under
     fixed, already validated bounds."""
     dist = np.abs(y[:, None] - y[None, :])
     if kind is Model.SBC:
-        return dist <= (r[:, None] + tol)
-    return dist <= (r[None, :] + tol)
+        return dist <= r[:, None]
+    return dist <= r[None, :]
 
 
-def build_digraph(state: OpinionState, tol: float = 0.0) -> ProximityDigraph:
+def build_digraph(state: OpinionState) -> ProximityDigraph:
     """Out-neighbor sets from the bounded-confidence/influence inequality.
 
-    SBC: j is an out-neighbor of i iff |y_i - y_j| <= r_i (+ tol).
-    SBI: j is an out-neighbor of i iff |y_i - y_j| <= r_j (+ tol).
-    The comparison is exact by default; boundary semantics matter downstream.
+    SBC: j is an out-neighbor of i iff |y_i - y_j| <= r_i.
+    SBI: j is an out-neighbor of i iff |y_i - y_j| <= r_j.
+    The comparison is exact; boundary semantics matter downstream.
     """
-    return ProximityDigraph(proximity_mask(state, tol))
+    return ProximityDigraph(proximity_mask(state))
 
 
 def strongly_connected_components(g: ProximityDigraph) -> list:

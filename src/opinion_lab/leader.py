@@ -105,23 +105,6 @@ def analyze_final_topology(traj: Trajectory):
     return g, c, d, f, la
 
 
-def _constant_topology_indices(traj: Trajectory, window: int) -> list:
-    """Indices of the last `window` recorded states, all in one epoch."""
-    if window < 2:
-        raise ValueError("window must cover at least 2 recorded steps")
-    if len(traj.times) < window:
-        raise ValueError(
-            f"trajectory has {len(traj.times)} recorded steps, window={window}"
-        )
-    if not traj.is_dense():
-        raise ValueError("rate analysis needs densely recorded trajectories")
-    idx = list(range(len(traj.times) - window, len(traj.times)))
-    tail_start = traj.topology_epochs[-1][0]
-    if traj.times[idx[0]] < tail_start:
-        raise ValueError("topology changed inside the analysis window")
-    return idx
-
-
 @dataclass(frozen=True)
 class RateVerdict:
     agent: int
@@ -145,11 +128,16 @@ def verify_rate_prediction(
     """
     if window < 10:
         raise ValueError("window must be >= 10 steps")
-    idx = _constant_topology_indices(traj, window)
+    if len(traj.times) < window:
+        raise ValueError(
+            f"trajectory has {len(traj.times)} recorded steps, window={window}"
+        )
+    if not traj.is_dense():
+        raise ValueError("rate analysis needs densely recorded trajectories")
+    if len(traj.times) - window < traj.tail_index():
+        raise ValueError("topology changed inside the analysis window")
 
-    x_prev = traj.states[idx[-2]]
-    x_last = traj.states[idx[-1]]
-    factors = per_step_factor(x_prev, x_last, f, tiny=RESIDUAL_FLOOR)
+    factors = per_step_factor(traj.states[-2], traj.states[-1], f, tiny=RESIDUAL_FLOOR)
 
     out = []
     for k in la.open_sccs:
@@ -185,10 +173,8 @@ def verify_direction_prediction(
     """
     if not traj.is_dense():
         raise ValueError("direction analysis needs densely recorded trajectories")
-    tail_start = traj.topology_epochs[-1][0]
-    start_idx = next(
-        k for k, t in enumerate(traj.times) if t >= tail_start
-    )
+    k0 = traj.tail_index()
+    tail, f = traj.states[k0:], np.asarray(f)
 
     out = []
     for k in la.open_sccs:
@@ -198,34 +184,20 @@ def verify_direction_prediction(
         if la.radii[k] == la.radii[lead]:
             out.append(DirectionVerdict(k, lead, False, None))
             continue
-        leader_nodes = list(c.sccs[lead])
-        follower_nodes = list(c.sccs[k])
-        matches_from = None
-        # Earliest t1 such that the implication pair holds for all t >= t1.
-        for k0 in range(start_idx, len(traj.times)):
-            sign = _uniform_sign(traj.states[k0], f, leader_nodes)
-            if sign is None:
-                continue
-            ok = all(
-                _follows(traj.states[kk], f, follower_nodes, sign)
-                for kk in range(k0, len(traj.times))
-            )
-            if ok:
-                matches_from = traj.times[k0]
-                break
-        out.append(DirectionVerdict(k, lead, True, matches_from))
+        # Per recorded tail state: the leader's residuals share one nonzero
+        # sign, and the follower's stay on that side of the limit from
+        # there to the end (all-true suffixes of reverse scans).
+        lead_nodes, foll_nodes = list(c.sccs[lead]), list(c.sccs[k])
+        lead_r = tail[:, lead_nodes] - f[lead_nodes]
+        above, below = (lead_r > 0).any(axis=1), (lead_r < 0).any(axis=1)
+        foll_r = tail[:, foll_nodes] - f[foll_nodes]
+        stays_above, stays_below = (
+            np.logical_and.accumulate(side.all(axis=1)[::-1])[::-1]
+            for side in (foll_r >= 0, foll_r <= 0)
+        )
+        match = (above & ~below & stays_above) | (below & ~above & stays_below)
+        first = int(match.argmax())
+        out.append(
+            DirectionVerdict(k, lead, True, traj.times[k0 + first] if match[first] else None)
+        )
     return out
-
-
-def _uniform_sign(x, f, nodes) -> Optional[int]:
-    signs = {int(np.sign(x[i] - f[i])) for i in nodes}
-    signs.discard(0)
-    if len(signs) != 1:
-        return None
-    return signs.pop()
-
-
-def _follows(x, f, nodes, sign: int) -> bool:
-    if sign < 0:
-        return all(x[i] <= f[i] for i in nodes)
-    return all(x[i] >= f[i] for i in nodes)

@@ -47,16 +47,11 @@ def invariant_equi_topology_distance(
     return np.where(reach, eps[:, None], math.inf).min(axis=0)
 
 
-def in_neighborhood(
-    y: np.ndarray,
-    z_state: OpinionState,
-    radii: np.ndarray,
-    zero_tol: float = 0.0,
-) -> bool:
+def in_neighborhood(y: np.ndarray, z_state: OpinionState, radii: np.ndarray) -> bool:
     """Strict per-coordinate box membership; zero radius forces equality.
 
     Coordinates with a positive radius must satisfy |y_i - z_i| < radius;
-    coordinates with radius zero must match exactly (within ``zero_tol``).
+    coordinates with radius zero must match exactly.
     """
     y = np.asarray(y, dtype=float)
     z = z_state.opinions
@@ -67,7 +62,7 @@ def in_neighborhood(
     positive = radii > 0.0
     if not np.all(diff[positive] < radii[positive]):
         return False
-    return bool(np.all(diff[~positive] <= zero_tol))
+    return bool(np.all(diff[~positive] == 0.0))
 
 
 def check_equal_topology(y: np.ndarray, z_state: OpinionState) -> bool:
@@ -207,12 +202,13 @@ def check_limit_equilibrium(
     if min_eps <= 0.0:
         return LimitEquilibriumVerdict(x_inf, min_eps, False, None, None)
 
-    tail_start = traj.topology_epochs[-1][0]
+    # Every recorded state of the final epoch has its first state's mask
+    # (``topology_epochs`` records each change); only the final state can be
+    # recorded after the last comparison of masks.
     inf_mask = proximity_mask(inf_state)
     topo_ok = all(
         np.array_equal(proximity_mask(traj.state_at_index(k)), inf_mask)
-        for k, t in enumerate(traj.times)
-        if t >= tail_start
+        for k in (traj.tail_index(), -1)
     )
     eq_ok = is_equilibrium(inf_state, tol=equilibrium_tol)
     return LimitEquilibriumVerdict(x_inf, min_eps, True, topo_ok, eq_ok)

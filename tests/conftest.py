@@ -295,9 +295,10 @@ def reference_simulate(state, max_steps, fixed_tol=0.0, record_every=1, limit_to
         if not traj.times or traj.times[-1] != t:
             traj.times.append(t)
             traj.states.append(np.array(x, dtype=float))
+        traj.states = np.array(traj.states)
 
     x = np.array(state.opinions, dtype=float)
-    traj = Trajectory(bounds=state.bounds, kind=state.kind)
+    traj = Trajectory(bounds=state.bounds, kind=state.kind, times=[], states=[])
     current_hash = cached_fvct = None
     for t in range(max_steps):
         g = build_digraph(state.with_opinions(x))
@@ -463,3 +464,82 @@ def reference_analyze_final_topology(traj):
     f = fvct_canonical(d, final.opinions)
     la = leader_assignment(c, d)
     return g, c, d, f, la
+
+
+def loop_per_step_factor(x_t, x_next, f, tiny=1e-13):
+    """Agent by agent: the residual ratio, or None at the limit."""
+    x_t = np.asarray(x_t, dtype=float)
+    x_next = np.asarray(x_next, dtype=float)
+    f = np.asarray(f, dtype=float)
+    if not (len(x_t) == len(x_next) == len(f)):
+        raise ValueError("vectors must share a length")
+    out = []
+    for a, b, fi in zip(x_t, x_next, f):
+        denom = a - fi
+        out.append((b - fi) / denom if abs(denom) > tiny else None)
+    return out
+
+
+def loop_verify_direction_prediction(traj, c, f, la):
+    """Every candidate start, rescanning the tail from it: the direction
+    check as a Python loop over recorded states."""
+    from opinion_lab.leader import DirectionVerdict
+
+    if not traj.is_dense():
+        raise ValueError("direction analysis needs densely recorded trajectories")
+    tail_start = traj.topology_epochs[-1][0]
+    start_idx = next(
+        k for k, t in enumerate(traj.times) if t >= tail_start
+    )
+
+    out = []
+    for k in la.open_sccs:
+        lead = la.leaders[k]
+        if lead == k:
+            continue
+        if la.radii[k] == la.radii[lead]:
+            out.append(DirectionVerdict(k, lead, False, None))
+            continue
+        leader_nodes = list(c.sccs[lead])
+        follower_nodes = list(c.sccs[k])
+        matches_from = None
+        # Earliest t1 such that the implication pair holds for all t >= t1.
+        for k0 in range(start_idx, len(traj.times)):
+            sign = _uniform_sign(traj.states[k0], f, leader_nodes)
+            if sign is None:
+                continue
+            ok = all(
+                _follows(traj.states[kk], f, follower_nodes, sign)
+                for kk in range(k0, len(traj.times))
+            )
+            if ok:
+                matches_from = traj.times[k0]
+                break
+        out.append(DirectionVerdict(k, lead, True, matches_from))
+    return out
+
+
+def _uniform_sign(x, f, nodes):
+    signs = {int(np.sign(x[i] - f[i])) for i in nodes}
+    signs.discard(0)
+    if len(signs) != 1:
+        return None
+    return signs.pop()
+
+
+def _follows(x, f, nodes, sign):
+    if sign < 0:
+        return all(x[i] <= f[i] for i in nodes)
+    return all(x[i] >= f[i] for i in nodes)
+
+
+def loop_topology_matches_tail(traj, inf_mask):
+    """Every recorded state from the final epoch's start on has the mask."""
+    from opinion_lab.graph import proximity_mask
+
+    tail_start = traj.topology_epochs[-1][0]
+    return all(
+        np.array_equal(proximity_mask(traj.state_at_index(k)), inf_mask)
+        for k, t in enumerate(traj.times)
+        if t >= tail_start
+    )

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from opinion_lab.cli import InputError, load_state, load_trajectory_csv, main
+from opinion_lab.cli import InputError, build_parser, load_state, load_trajectory_csv, main
 from opinion_lab.state import Model, OpinionState
 
 from conftest import grid_state, random_state
@@ -264,6 +264,22 @@ class TestOtherCommands:
         nonfinite.write_text("t,x_0,x_1,x_2\n0,0.0,0.6,1.0\n1,0.0,nan,1.0\n")
         with pytest.raises(InputError, match="finite"):
             load_trajectory_csv(str(nonfinite), state)
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text("t,x_0,x_1,x_2\n0,0.0,0.6,1.0\n1,0.0,0.5\n")
+        with pytest.raises(InputError, match="row width"):
+            load_trajectory_csv(str(ragged), state)
+
+    @pytest.mark.parametrize("record_every", [1, 5])
+    def test_loaded_states_are_one_float_array(self, three_agent_json, tmp_path, capsys, record_every):
+        prefix = str(tmp_path / "run")
+        argv = ["simulate", "--state", three_agent_json, "--out-prefix", prefix]
+        main(argv + ["--record-every", str(record_every), "--limit-tol", "0", "--max-steps", "23"])
+        capsys.readouterr()
+        loaded = load_trajectory_csv(prefix + "_trajectory.csv", load_state(three_agent_json, "sbc"))
+        assert loaded.states.shape == (len(loaded.times), 3)
+        assert loaded.states.dtype == np.float64
+        assert all(type(t) is int for t in loaded.times)
+        assert loaded.times[-1] == 23
 
 
 class TestEdgeInputs:
@@ -368,6 +384,22 @@ class TestExitCodes:
         path.write_text("{not json")
         rc = main(["simulate", "--state", str(path)])
         assert rc == 1
+
+    def test_parser_is_built_once(self, three_agent_json, capsys):
+        build_parser.cache_clear()
+        outs = []
+        for cmd in ("analyze", "analyze", "fvct"):
+            assert main([cmd, "--state", three_agent_json]) == 0
+            outs.append(capsys.readouterr().out)
+        assert build_parser.cache_info().misses == 1
+        assert outs[0] == outs[1] == (
+            '{"leaders": {"open_sccs": [{"id": 2, "members": [1], "radius": 0.3333333333333333, '
+            '"successors": [2], "leader_id": 2, "leader_radius": 0.3333333333333333}]}, '
+            '"rates": [{"agent": 1, "scc_id": 2, "leader_id": 2, "leader_radius": 0.3333333333333333, '
+            '"factor": 0.3333681735040502, "deviation": 3.4840170716865515e-05, "excluded": false}], '
+            '"directions": [], "pseudo_stable": {"holds_from": 0, "fixed_set": [0, 2], "converging_set": [1]}}\n'
+        )
+        assert outs[2] == "[0.0, 0.49999999999999994, 1.0]\n"
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -19,6 +19,7 @@ from opinion_lab.stability import _weak_components
 from conftest import (
     epoch_start_states,
     grid_state,
+    loop_per_step_factor,
     loop_pseudo_stable_check,
     random_state,
     reference_digraph_hash,
@@ -190,6 +191,23 @@ class TestSimulate:
         assert len(calls) == len(traj.topology_epochs) < traj.times[-1]
         assert len(states) == len(traj.topology_epochs)
 
+    @pytest.mark.parametrize("record_every", [1, 5])
+    def test_states_are_one_float_array(self, fig62_state, record_every):
+        traj = simulate(fig62_state, max_steps=37, record_every=record_every, limit_tol=0.0)
+        assert traj.states.shape == (len(traj.times), fig62_state.n)
+        assert traj.states.dtype == np.float64
+        assert all(type(t) is int for t in traj.times)
+        assert traj.times[-1] == 37
+        assert traj.is_dense() == (record_every == 1)
+
+    def test_tail_index_is_the_final_epoch_start(self):
+        rng = np.random.default_rng(167)
+        for k in range(60):
+            traj = simulate(random_state(rng, max_n=10), max_steps=60, record_every=1 + k % 4, limit_tol=0.0)
+            start = traj.topology_epochs[-1][0]
+            want = next(k for k, t in enumerate(traj.times) if t >= start)
+            assert traj.tail_index() == want
+
     def test_rejects_bad_options(self, fig41_state):
         with pytest.raises(ValueError):
             simulate(fig41_state, max_steps=0)
@@ -221,6 +239,40 @@ class TestPerStepFactor:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             per_step_factor([1.0], [1.0, 2.0], [0.0, 0.0])
+
+    @staticmethod
+    def assert_bit_equal(got, want):
+        assert [v is None for v in got] == [v is None for v in want]
+        assert [np.float64(v).tobytes() for v in got if v is not None] == [
+            np.float64(v).tobytes() for v in want if v is not None
+        ]
+
+    @pytest.mark.parametrize("tiny", [1e-13, 0.0, 2.0**-20])
+    def test_matches_loop_oracle_bit_for_bit(self, tiny):
+        rng = np.random.default_rng(163)
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            f = rng.choice([0.0, 0.5, -0.25], n) + rng.uniform(-1, 1, n) * (rng.random() < 0.5)
+            x_t = f + rng.choice([0.0, tiny, -tiny, 1e-3, -2e-14, 0.3], n)
+            x_next = np.where(rng.random(n) < 0.3, f, f + rng.uniform(-1e-3, 1e-3, n))
+            self.assert_bit_equal(
+                per_step_factor(x_t, x_next, f, tiny=tiny), loop_per_step_factor(x_t, x_next, f, tiny=tiny)
+            )
+
+    def test_denominator_exactly_at_tiny_is_undefined(self):
+        f = [0.0, 0.0, 0.0, 1.0]
+        got = per_step_factor([1e-13, -1e-13, 2e-13, 1.0], [0.0, 5e-14, 1e-13, 1.0], f, tiny=1e-13)
+        self.assert_bit_equal(got, loop_per_step_factor([1e-13, -1e-13, 2e-13, 1.0], [0.0, 5e-14, 1e-13, 1.0], f, tiny=1e-13))
+        assert got == [None, None, 0.5, None]
+
+    def test_recorded_factors_match_loop_oracle(self, fig62_state):
+        traj = simulate(fig62_state, max_steps=400, limit_tol=0.0)
+        f = fvct(fig62_state)
+        for k in range(len(traj.times) - 1):
+            self.assert_bit_equal(
+                per_step_factor(traj.states[k], traj.states[k + 1], f),
+                loop_per_step_factor(traj.states[k], traj.states[k + 1], f),
+            )
 
 
 class TestPseudoStable:
@@ -318,8 +370,8 @@ class TestPseudoStableScan:
     def test_an_agent_both_fixed_and_converging_counts_as_fixed(self):
         # Inside the tolerance and strictly approaching: both clauses hold
         # from the same pair.
-        traj = Trajectory(bounds=np.array([0.1, 0.1]), kind=Model.SBC, times=[0, 1, 2])
-        traj.states = [np.array([0.5 - d, 0.9 + d]) for d in (4e-13, 2e-13, 1e-13)]
+        states = np.array([[0.5 - d, 0.9 + d] for d in (4e-13, 2e-13, 1e-13)])
+        traj = Trajectory(bounds=np.array([0.1, 0.1]), kind=Model.SBC, times=[0, 1, 2], states=states)
         got = pseudo_stable_check(traj, [0.5, 0.9], fixed_tol=1e-12)
         assert got == loop_pseudo_stable_check(traj, [0.5, 0.9], fixed_tol=1e-12)
         assert got.fixed_set == frozenset({0, 1}) and got.holds_from == 0

@@ -14,7 +14,7 @@ from opinion_lab import (
     simulate,
 )
 from opinion_lab.cli import load_trajectory_csv
-from opinion_lab.dynamics import Termination
+from opinion_lab.dynamics import Termination, Trajectory
 from opinion_lab.graph import SccClass
 from opinion_lab.leader import (
     DirectionVerdict,
@@ -25,7 +25,12 @@ from opinion_lab.leader import (
     verify_rate_prediction,
 )
 
-from conftest import random_state, reachability_oracle, reference_analyze_final_topology
+from conftest import (
+    loop_verify_direction_prediction,
+    random_state,
+    reachability_oracle,
+    reference_analyze_final_topology,
+)
 
 
 def anchored_state(rng):
@@ -357,3 +362,89 @@ class TestDirectionPrediction:
                     for i in foll_nodes:
                         assert s * (x[i] - f[i]) >= 0.0
         assert checked > 10
+
+
+class TestDirectionScan:
+    """The suffix scans against the loop over candidate starts they
+    replaced."""
+
+    @staticmethod
+    def compare(traj, c, f, la):
+        got = verify_direction_prediction(traj, c, f, la)
+        assert got == loop_verify_direction_prediction(traj, c, f, la)
+        return got
+
+    @pytest.mark.parametrize("max_steps", [3, 20, 50, 300])
+    def test_eight_agent(self, fig62_state, max_steps):
+        traj = simulate(fig62_state, max_steps=max_steps, limit_tol=0.0)
+        _, c, _, f, la = analyze_final_topology(traj)
+        assert len(self.compare(traj, c, f, la)) == 1
+
+    def test_jittered_eight_agent_states(self):
+        rng = np.random.default_rng(149)
+        verdicts = []
+        for _ in range(150):
+            traj = simulate(jittered_eight_agent_state(rng), max_steps=40, limit_tol=0.0)
+            _, c, _, f, la = analyze_final_topology(traj)
+            verdicts += self.compare(traj, c, f, la)
+        assert sum(v.applicable and v.matches_from is not None for v in verdicts) > 10
+
+    def test_equal_radius_pair(self, fig62_state):
+        traj = simulate(fig62_state, max_steps=50, limit_tol=0.0)
+        _, c, _, f, la = analyze_final_topology(traj)
+        ids = {c.sccs[k]: k for k in la.open_sccs}
+        doctored = LeaderAssignment(
+            open_sccs=la.open_sccs,
+            successor_sets=la.successor_sets,
+            radii={**la.radii, ids[(6,)]: la.radii[ids[(4, 5)]]},
+            leaders={**la.leaders, ids[(6,)]: ids[(4, 5)]},
+        )
+        verdicts = self.compare(traj, c, f, doctored)
+        assert any(not v.applicable for v in verdicts)
+
+    @staticmethod
+    def grouped_state(rng):
+        """Anchors two apart with tiny bounds, groups of up to three agents
+        between neighbouring anchors, and wide-bound followers: groups of
+        different sizes converge at different rates."""
+        k = int(rng.integers(3, 6))
+        y, r = list(2.0 * np.arange(k)), [0.01] * k
+        for gap in range(k - 1):
+            for _ in range(int(rng.integers(0, 4))):
+                y.append(2.0 * gap + 1.0 + rng.uniform(-0.1, 0.1))
+                r.append(rng.uniform(1.15, 1.3))
+        for _ in range(int(rng.integers(1, 3))):
+            y.append(rng.uniform(0.0, 2.0 * (k - 1)))
+            r.append(rng.uniform(2.0, 6.0))
+        return OpinionState(np.array(y) + rng.uniform(-0.02, 0.02, len(y)), r, Model.SBC)
+
+    def test_random_runs(self):
+        rng = np.random.default_rng(157)
+        verdicts = []
+        for k in range(400):
+            state = self.grouped_state(rng) if k % 4 else random_state(rng, max_n=10)
+            limit_tol = (0.0, 1e-12)[k % 3 == 0]
+            traj = simulate(state, max_steps=int(rng.integers(2, 80)), limit_tol=limit_tol)
+            _, c, _, f, la = analyze_final_topology(traj)
+            verdicts += self.compare(traj, c, f, la)
+        applicable = [v for v in verdicts if v.applicable]
+        assert len(applicable) > 20
+        assert any(v.matches_from is None for v in applicable)
+        assert any(v.matches_from is not None for v in applicable)
+
+    def test_no_start_holds_to_the_end(self, fig62_state):
+        # The leader's residual sign flips between the two states and the
+        # follower sits on the other side each time: no start qualifies.
+        _, c, _, f, la = analyze_final_topology(simulate(fig62_state, max_steps=50, limit_tol=0.0))
+        (follower,) = [k for k in la.open_sccs if la.leaders[k] != k]
+        lead_nodes, foll_nodes = list(c.sccs[la.leaders[follower]]), list(c.sccs[follower])
+        states = np.tile(f, (2, 1))
+        for row, sign in ((0, 1.0), (1, -1.0)):
+            states[row, lead_nodes] += sign * 1e-3
+            states[row, foll_nodes] -= sign * 1e-3
+        traj = Trajectory(
+            bounds=fig62_state.bounds, kind=Model.SBC, times=[0, 1], states=states,
+            topology_epochs=[(0, "tail")],
+        )
+        (v,) = self.compare(traj, c, f, la)
+        assert v.applicable and v.matches_from is None

@@ -23,7 +23,7 @@ from opinion_lab import (
 )
 from opinion_lab.graph import SccClass, proximity_mask
 
-from conftest import neighbor_lists, random_state
+from conftest import loop_topology_matches_tail, neighbor_lists, random_state
 
 
 def sample_in_neighborhood(rng, z, radii, scale=1.0):
@@ -289,6 +289,37 @@ class TestLimitEquilibrium:
         verdict = check_limit_equilibrium(traj)
         assert verdict.premise_holds
         assert verdict.limit_is_equilibrium
+
+    def test_tail_topology_matches_loop_oracle(self, tmp_path):
+        # Unconverged max_steps stops (residual_tol=inf) and loose fixed
+        # stops leave a final state recorded past the last mask comparison;
+        # a stop on a topology change gives that state a mask of its own.
+        from opinion_lab.cli import load_trajectory_csv
+
+        rng = np.random.default_rng(173)
+        verdicts = []
+        for k in range(150):
+            state = random_state(rng, max_n=10)
+            max_steps = int(rng.integers(1, 60))
+            if k % 3 == 0:
+                starts = [t for t, _ in simulate(state, max_steps=60, limit_tol=0.0).topology_epochs]
+                max_steps = starts[-1] if len(starts) > 1 else max_steps
+            traj = simulate(
+                state,
+                max_steps=max_steps,
+                fixed_tol=(0.0, 1e-3)[k % 2],
+                record_every=1 + k % 3,
+            )
+            if k % 5 == 0:
+                traj.to_csv(tmp_path / "traj.csv")
+                traj = load_trajectory_csv(str(tmp_path / "traj.csv"), state)
+            v = check_limit_equilibrium(traj, residual_tol=math.inf)
+            if not v.premise_holds:
+                continue
+            inf_mask = proximity_mask(state.with_opinions(v.x_infinity))
+            assert v.topology_matches_tail == loop_topology_matches_tail(traj, inf_mask)
+            verdicts.append(v.topology_matches_tail)
+        assert True in verdicts and False in verdicts
 
     def test_unconverged_trajectory_rejected(self, fig41_state):
         traj = simulate(fig41_state, max_steps=3, limit_tol=0.0)
