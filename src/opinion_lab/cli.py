@@ -16,9 +16,9 @@ from functools import cache
 
 import numpy as np
 
-from opinion_lab.dynamics import Trajectory, digraph_hash, pseudo_stable_check, simulate
+from opinion_lab.dynamics import Trajectory, _epoch_at, pseudo_stable_check, simulate
 from opinion_lab.experiment import ExperimentConfig, emit_results, run_campaign
-from opinion_lab.graph import ProximityDigraph, _neighbor_mask, build_digraph, classify
+from opinion_lab.graph import build_digraph, classify
 from opinion_lab.leader import (
     analyze_final_topology,
     verify_direction_prediction,
@@ -93,19 +93,17 @@ def load_trajectory_csv(path, state: OpinionState) -> Trajectory:
         raise InputError(f"{path}: empty trajectory")
     if any(len(x) != state.n for x in rows):
         raise InputError(f"{path}: row width does not match state size")
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise InputError(f"{path}: times must strictly increase")
     states = np.array(rows)
     if not np.isfinite(states).all():
         raise InputError(f"{path}: opinions must be finite")
     # Rebuild topology epochs from the recorded states.
-    epochs = []
-    prev = None
+    epochs, epoch = [], None
     for t, x in zip(times, states):
-        mask = _neighbor_mask(x, state.bounds, state.kind)
-        if prev is None or not np.array_equal(mask, prev):
-            epochs.append((t, digraph_hash(ProximityDigraph(mask))))
-            prev = mask
+        epoch = _epoch_at(epoch, t, x, state, epochs)
     return Trajectory(
-        bounds=state.bounds, kind=state.kind, times=times, states=states, topology_epochs=epochs
+        state.bounds, state.kind, times, states, topology_epochs=epochs, final_epoch=epoch
     )
 
 
@@ -160,6 +158,8 @@ def cmd_analyze(args) -> int:
     state = load_state(args.state, args.model)
     if args.trajectory:
         traj = load_trajectory_csv(args.trajectory, state)
+        if not traj.is_dense():
+            raise InputError(f"{args.trajectory}: not dense; record it with --record-every 1")
     else:
         traj = simulate(state, max_steps=args.max_steps)
     _, c, _, f, la = analyze_final_topology(traj)
@@ -169,7 +169,7 @@ def cmd_analyze(args) -> int:
     if window >= 10:
         report["rates"] = [asdict(v) for v in verify_rate_prediction(traj, c, f, la, window=window)]
     report["directions"] = [asdict(v) for v in verify_direction_prediction(traj, c, f, la)]
-    if len(traj.times) >= 2 and traj.is_dense():
+    if len(traj.times) >= 2:
         verdict = pseudo_stable_check(traj, f)
         report["pseudo_stable"] = {
             "holds_from": verdict.holds_from,

@@ -45,8 +45,9 @@ class Trajectory:
     step ``times[k]`` (Python ints); recording is dense when
     ``record_every=1``.  ``topology_epochs`` holds ``(start_time, hash)``
     for every digraph change, recorded exactly even when states are
-    downsampled.  ``final_epoch`` is the last ``Epoch`` simulated; it is not
-    serialised (``None`` for a loaded trajectory).
+    downsampled, so every recorded state lies in a recorded epoch.
+    ``final_epoch`` is the ``Epoch`` of the final state; it is not
+    serialised.
     """
 
     bounds: np.ndarray
@@ -77,12 +78,10 @@ class Trajectory:
         return bool((np.diff(self.times) == 1).all())
 
     def to_csv(self, path) -> None:
+        row = "%d" + ",%.17g" * self.n + "\n"
         with open(path, "w", newline="") as fh:
-            header = ",".join(["t"] + [f"x_{i}" for i in range(self.n)])
-            fh.write(header + "\n")
-            for t, x in zip(self.times, self.states):
-                row = ",".join([str(t)] + [format(v, ".17g") for v in x])
-                fh.write(row + "\n")
+            fh.write(",".join(["t"] + [f"x_{i}" for i in range(self.n)]) + "\n")
+            fh.writelines(row % (t, *x) for t, x in zip(self.times, self.states.tolist()))
 
     def events_json(self) -> dict:
         return {
@@ -99,16 +98,25 @@ class Trajectory:
 
 @dataclass(eq=False)
 class Epoch:
-    """One topology epoch: the digraph, its label and its averaging matrix,
-    fixed from step ``start`` until the proximity mask changes; the rest is
-    computed on first use."""
+    """One topology epoch: from step ``start`` the opinions keep the
+    proximity mask of ``state``, the epoch's first state.  The digraph, its
+    label, the averaging matrix and the rest are computed on first use."""
 
     start: int
-    first_state: np.ndarray
-    digraph: ProximityDigraph
-    label: str
-    matrix: np.ndarray
+    state: OpinionState
     _limit: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @cached_property
+    def digraph(self) -> ProximityDigraph:
+        return build_digraph(self.state)
+
+    @cached_property
+    def label(self) -> str:
+        return digraph_hash(self.digraph)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return adjacency_matrix(self.digraph)
 
     @cached_property
     def classification(self):
@@ -122,8 +130,18 @@ class Epoch:
         """Final value at constant topology of the epoch's first state (the
         same for every state of the epoch), computed once."""
         if self._limit is None:
-            self._limit = fvct_canonical(self.decomposition, self.first_state)
+            self._limit = fvct_canonical(self.decomposition, self.state.opinions)
         return self._limit
+
+
+def _epoch_at(epoch: Optional[Epoch], t: int, x: np.ndarray, state: OpinionState, log: list):
+    """The epoch of opinions ``x`` at step ``t``: ``epoch`` while ``x`` keeps
+    its proximity mask, else a new epoch from ``t``, logged as ``(t, label)``
+    in ``log``.  ``state`` supplies the bounds and the model."""
+    if epoch is None or (_neighbor_mask(x, state.bounds, state.kind) != epoch.digraph.mask).any():
+        epoch = Epoch(t, state.with_opinions(x))
+        log.append((t, epoch.label))
+    return epoch
 
 
 # |x - f| < tol implies |Ax - x| < 2 tol (A is row-stochastic and Af = f), so
@@ -142,8 +160,8 @@ def simulate(
     """Iterate the averaging rule, tracking topology epochs and termination.
 
     A new epoch starts whenever the proximity mask differs from the current
-    epoch's; the last one is left on the trajectory as ``final_epoch``.  At
-    step t, with ``x' = A x``:
+    epoch's, at every step and at the final state; the last one is left on
+    the trajectory as ``final_epoch``.  At step t, with ``x' = A x``:
 
     - ``fixed_at`` is set to t+1 when ``x'`` equals ``x`` bitwise (or
       within ``fixed_tol`` if set above zero);
@@ -166,13 +184,7 @@ def simulate(
     termination = Termination.MAX_STEPS
 
     for t in range(max_steps):
-        if epoch is None or (
-            _neighbor_mask(x, state.bounds, state.kind) != epoch.digraph.mask
-        ).any():
-            now = state.with_opinions(x)
-            g = build_digraph(now)
-            epoch = Epoch(t, now.opinions, g, digraph_hash(g), adjacency_matrix(g))
-            epochs.append((t, epoch.label))
+        epoch = _epoch_at(epoch, t, x, state, epochs)
 
         # x is rebound each step, never written in place, so a row may hold it.
         if t % record_every == 0:
@@ -200,6 +212,8 @@ def simulate(
     else:
         t = max_steps
 
+    # A fixed or max_steps stop ends on a state no step has compared.
+    epoch = _epoch_at(epoch, t, x, state, epochs)
     if times[-1] != t:
         times.append(t)
         rows.append(x)

@@ -162,7 +162,7 @@ def run_single(
     # records one step past its last check.
     stop = traj.times[-1] + (traj.termination is Termination.TOLERANCE_REACHED)
     tau = None
-    x = epoch.first_state
+    x = epoch.state.opinions
     for t in range(epoch.start, stop):
         if t % cfg.check_every == 0 and in_neighborhood(x, f_state, delta):
             tau = t

@@ -9,14 +9,8 @@ from typing import Optional
 import numpy as np
 
 from opinion_lab.dynamics import Trajectory, per_step_factor
-from opinion_lab.graph import Classification, build_digraph, classify
-from opinion_lab.matrix import (
-    CanonicalDecomposition,
-    adjacency_matrix,
-    canonical_decomposition,
-    fvct_canonical,
-    spectral_radius,
-)
+from opinion_lab.graph import Classification
+from opinion_lab.matrix import CanonicalDecomposition, fvct_canonical, spectral_radius
 
 RESIDUAL_FLOOR = 1e-13
 
@@ -91,18 +85,12 @@ def leader_assignment(
 
 
 def analyze_final_topology(traj: Trajectory):
-    """Classification, decomposition, fvct, and leaders at the final state's
-    topology, classified by the simulated final epoch if it has that digraph."""
-    final = traj.final_state()
-    g = build_digraph(final)
-    if traj.final_epoch is not None and traj.final_epoch.digraph == g:
-        c, d = traj.final_epoch.classification, traj.final_epoch.decomposition
-    else:
-        c = classify(g)
-        d = canonical_decomposition(adjacency_matrix(g), c)
-    f = fvct_canonical(d, final.opinions)
-    la = leader_assignment(c, d)
-    return g, c, d, f, la
+    """Digraph, classification, decomposition, fvct, and leaders at the
+    final state's topology, which is its final epoch's."""
+    epoch = traj.final_epoch
+    c, d = epoch.classification, epoch.decomposition
+    f = fvct_canonical(d, traj.states[-1])
+    return epoch.digraph, c, d, f, leader_assignment(c, d)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,8 @@ def adjacency_matrix(g: ProximityDigraph) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CanonicalDecomposition:
-    """Permuted block view P A P^T = [[C,0,0],[0,M,0],[ThetaC,ThetaM,Theta]].
+    """Permuted matrix P A P^T = [[C,0,0],[0,M,0],[ThetaC,ThetaM,Theta]],
+    with its blocks as views.
 
     ``permutation[k]`` is the original node at canonical position k.
     ``closed_sccs`` / ``moderate_sccs`` / ``open_sccs`` list SCC indices (into
@@ -33,6 +34,7 @@ class CanonicalDecomposition:
     """
 
     permutation: np.ndarray
+    matrix: np.ndarray
     C: np.ndarray
     M: np.ndarray
     Theta: np.ndarray
@@ -60,18 +62,6 @@ class CanonicalDecomposition:
     @property
     def n_open(self) -> int:
         return sum(self.open_sizes)
-
-    def canonical_matrix(self) -> np.ndarray:
-        """Reassemble the full permuted matrix from the stored blocks."""
-        n = self.n
-        nc, nm = self.n_closed, self.n_moderate
-        abar = np.zeros((n, n))
-        abar[:nc, :nc] = self.C
-        abar[nc : nc + nm, nc : nc + nm] = self.M
-        abar[nc + nm :, :nc] = self.ThetaC
-        abar[nc + nm :, nc : nc + nm] = self.ThetaM
-        abar[nc + nm :, nc + nm :] = self.Theta
-        return abar
 
     def open_block_slices(self) -> list:
         """(scc_index, slice into Theta) per open SCC in block order."""
@@ -142,11 +132,12 @@ def canonical_decomposition(
     nm = sum(len(c.sccs[k]) for k in by_class[SccClass.MODERATE])
     return CanonicalDecomposition(
         permutation=perm,
-        C=abar[:nc, :nc].copy(),
-        M=abar[nc : nc + nm, nc : nc + nm].copy(),
-        Theta=abar[nc + nm :, nc + nm :].copy(),
-        ThetaC=abar[nc + nm :, :nc].copy(),
-        ThetaM=abar[nc + nm :, nc : nc + nm].copy(),
+        matrix=abar,
+        C=abar[:nc, :nc],
+        M=abar[nc : nc + nm, nc : nc + nm],
+        Theta=abar[nc + nm :, nc + nm :],
+        ThetaC=abar[nc + nm :, :nc],
+        ThetaM=abar[nc + nm :, nc : nc + nm],
         closed_sccs=tuple(by_class[SccClass.CLOSED]),
         moderate_sccs=tuple(by_class[SccClass.MODERATE]),
         open_sccs=tuple(by_class[SccClass.OPEN]),

@@ -11,7 +11,7 @@ import numpy as np
 
 from opinion_lab.dynamics import Termination, Trajectory
 from opinion_lab.graph import build_digraph, proximity_mask, reachability, weak_components
-from opinion_lab.matrix import adjacency_matrix, fvct
+from opinion_lab.matrix import adjacency_matrix, fvct, fvct_canonical
 from opinion_lab.state import Model, OpinionState
 
 
@@ -184,11 +184,11 @@ def check_limit_equilibrium(
     residual_tol: float = 1e-8,
     equilibrium_tol: float = 1e-10,
 ) -> LimitEquilibriumVerdict:
-    """Take the final-epoch fvct as the limit and, when its minimum
+    """Take the final state's fvct as the limit and, when its minimum
     equi-topology distance is positive, confirm the tail topology matches
     and the limit is an equilibrium."""
-    final = traj.final_state()
-    x_inf = fvct(final)
+    final, epoch = traj.final_state(), traj.final_epoch
+    x_inf = fvct_canonical(epoch.decomposition, final.opinions)
     if traj.termination is Termination.MAX_STEPS:
         residual = float(np.max(np.abs(final.opinions - x_inf)))
         if residual > residual_tol:
@@ -202,14 +202,8 @@ def check_limit_equilibrium(
     if min_eps <= 0.0:
         return LimitEquilibriumVerdict(x_inf, min_eps, False, None, None)
 
-    # Every recorded state of the final epoch has its first state's mask
-    # (``topology_epochs`` records each change); only the final state can be
-    # recorded after the last comparison of masks.
-    inf_mask = proximity_mask(inf_state)
-    topo_ok = all(
-        np.array_equal(proximity_mask(traj.state_at_index(k)), inf_mask)
-        for k in (traj.tail_index(), -1)
-    )
+    # Every recorded state of the final epoch has the epoch's mask.
+    topo_ok = np.array_equal(epoch.digraph.mask, proximity_mask(inf_state))
     eq_ok = is_equilibrium(inf_state, tol=equilibrium_tol)
     return LimitEquilibriumVerdict(x_inf, min_eps, True, topo_ok, eq_ok)
 

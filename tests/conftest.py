@@ -285,13 +285,16 @@ def reference_digraph_hash(g):
 
 
 def reference_simulate(state, max_steps, fixed_tol=0.0, record_every=1, limit_tol=1e-12):
-    """Rebuilds and hashes the digraph every step; checks the tolerance
-    (against the fvct of the epoch's second state) before stepping, and
-    reports fixed_at only for a fixed-state stop."""
+    """Rebuilds and hashes the digraph every step and at the final state;
+    checks the tolerance (against the fvct of the epoch's second state)
+    before stepping, and reports fixed_at only for a fixed-state stop."""
     from opinion_lab import Termination, Trajectory, adjacency_matrix, build_digraph, classify
     from opinion_lab.matrix import canonical_decomposition, fvct_canonical
 
     def record_final(traj, t, x):
+        h = reference_digraph_hash(build_digraph(state.with_opinions(x)))
+        if h != traj.topology_epochs[-1][1]:
+            traj.topology_epochs.append((t, h))
         if not traj.times or traj.times[-1] != t:
             traj.times.append(t)
             traj.states.append(np.array(x, dtype=float))
@@ -336,7 +339,8 @@ def reference_simulate(state, max_steps, fixed_tol=0.0, record_every=1, limit_to
 
 def reference_run_single(model, n, run, cfg):
     """Mask-compared epochs with an eager per-epoch limit and delta radii;
-    the fixed check comes before the tolerance check at every step."""
+    the fixed check comes before the tolerance check at every step, and the
+    state after the last step takes the limit of its own epoch."""
     from opinion_lab import (
         RunRecord,
         adjacency_matrix,
@@ -376,6 +380,10 @@ def reference_run_single(model, n, run, cfg):
             converged = True
             break
         x = x_next
+    else:
+        if not np.array_equal(proximity_mask(state.with_opinions(x)), current_mask):
+            g = build_digraph(state.with_opinions(x))
+            f = fvct_canonical(canonical_decomposition(adjacency_matrix(g), classify(g)), x)
     return RunRecord(
         model=Model(model),
         n=n,

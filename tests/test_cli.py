@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from opinion_lab.cli import InputError, build_parser, load_state, load_trajectory_csv, main
+from opinion_lab.dynamics import Termination, simulate
+from opinion_lab.experiment import draw_state
 from opinion_lab.state import Model, OpinionState
 
 from conftest import grid_state, random_state
@@ -243,12 +245,20 @@ class TestOtherCommands:
         main(["simulate", "--state", str(path), "--out-prefix", prefix])
         events = json.loads(capsys.readouterr().out)
         state = load_state(str(path), "sbc")
-        # Rows are compared as bare vectors; no state is built per row.
-        monkeypatch.setattr(OpinionState, "with_opinions", None)
+        # Rows are compared as bare vectors; a state is built per epoch.
+        built = []
+        with_opinions = OpinionState.with_opinions
+
+        def counted_state(self, opinions):
+            built.append(opinions)
+            return with_opinions(self, opinions)
+
+        monkeypatch.setattr(OpinionState, "with_opinions", counted_state)
         loaded = load_trajectory_csv(prefix + "_trajectory.csv", state)
         assert len(events["epochs"]) > 1
         assert [{"t": t, "hash": h} for t, h in loaded.topology_epochs] == events["epochs"]
-        assert loaded.final_epoch is None
+        assert len(built) == len(events["epochs"]) < len(loaded.times)
+        assert (loaded.final_epoch.start, loaded.final_epoch.label) == loaded.topology_epochs[-1]
 
     def test_trajectory_loader_validates(self, three_agent_json, tmp_path):
         state = load_state(three_agent_json, "sbc")
@@ -269,6 +279,26 @@ class TestOtherCommands:
         with pytest.raises(InputError, match="row width"):
             load_trajectory_csv(str(ragged), state)
 
+    def test_trajectory_loader_rejects_unordered_times(self, three_agent_json, tmp_path):
+        state = load_state(three_agent_json, "sbc")
+        for times in ((0, 1, 1), (0, 2, 1)):
+            path = tmp_path / "unordered.csv"
+            path.write_text("t,x_0,x_1,x_2\n" + "".join(f"{t},0.0,0.6,1.0\n" for t in times))
+            with pytest.raises(InputError, match="strictly increase"):
+                load_trajectory_csv(str(path), state)
+
+    def test_analyze_rejects_a_sparse_or_unordered_trajectory(self, three_agent_json, tmp_path, capsys):
+        prefix = str(tmp_path / "run")
+        main(["simulate", "--state", three_agent_json, "--out-prefix", prefix, "--record-every", "5"])
+        repeated = tmp_path / "repeated.csv"
+        repeated.write_text("t,x_0,x_1,x_2\n0,0.0,0.6,1.0\n0,0.0,0.6,1.0\n")
+        capsys.readouterr()
+        for path, message in ((prefix + "_trajectory.csv", "--record-every 1"), (str(repeated), "increase")):
+            rc = main(["analyze", "--state", three_agent_json, "--trajectory", path])
+            err = capsys.readouterr().err
+            assert rc == 1
+            assert message in err and "Traceback" not in err
+
     @pytest.mark.parametrize("record_every", [1, 5])
     def test_loaded_states_are_one_float_array(self, three_agent_json, tmp_path, capsys, record_every):
         prefix = str(tmp_path / "run")
@@ -280,6 +310,77 @@ class TestOtherCommands:
         assert loaded.states.dtype == np.float64
         assert all(type(t) is int for t in loaded.times)
         assert loaded.times[-1] == 23
+
+
+class TestTrajectoryRoundTrip:
+    """A dense trajectory written by ``to_csv`` loads with the epochs that
+    ``simulate`` recorded, its final epoch included."""
+
+    @staticmethod
+    def assert_round_trip(traj, state, path):
+        traj.to_csv(path)
+        loaded = load_trajectory_csv(str(path), state)
+        assert loaded.topology_epochs == traj.topology_epochs
+        got, want = loaded.final_epoch, traj.final_epoch
+        assert (got.start, got.label) == (want.start, want.label) == traj.topology_epochs[-1]
+        assert np.array_equal(got.digraph.mask, want.digraph.mask)
+
+    def test_every_stop_kind(self, tmp_path):
+        rng = np.random.default_rng(181)
+        stops = set()
+        for k in range(80):
+            state = random_state(rng, max_n=10)
+            traj = simulate(
+                state,
+                max_steps=int(rng.integers(1, 200)),
+                fixed_tol=(0.0, 1e-3)[k % 2],
+                limit_tol=(0.0, 1e-12)[k // 2 % 2],
+            )
+            stops.add(traj.termination)
+            self.assert_round_trip(traj, state, tmp_path / "traj.csv")
+        assert stops == set(Termination)
+
+    @pytest.mark.parametrize("fixed_tol", [0.0, 1e-3])
+    def test_max_steps_at_epoch_starts(self, tmp_path, fixed_tol):
+        # The state recorded at max_steps opens an epoch of its own.
+        rng = np.random.default_rng(191)
+        checked = 0
+        for _ in range(20):
+            state = random_state(rng, max_n=10)
+            for t, _ in simulate(state, max_steps=300, fixed_tol=fixed_tol).topology_epochs[1:]:
+                traj = simulate(state, max_steps=t, fixed_tol=fixed_tol)
+                assert traj.final_epoch.start == t
+                self.assert_round_trip(traj, state, tmp_path / "traj.csv")
+                checked += 1
+        assert checked >= 20
+
+    def test_loose_fixed_stop_on_a_topology_change(self, tmp_path):
+        # The step that falls within fixed_tol crosses a neighbour bound.
+        state = OpinionState(
+            [0.31, 0.345, 0.985, 0.896, 0.745, 0.608, 0.849, 0.027, 0.099, 0.442, 0.987, 0.741],
+            [0.16, 0.415, 0.01, 0.026, 0.15, 0.385, 0.179, 0.029, 0.25, 0.243, 0.061, 0.397],
+            Model.SBC,
+        )
+        traj = simulate(state, fixed_tol=1e-3)
+        assert traj.termination is Termination.FIXED_STATE
+        assert traj.final_epoch.start == traj.times[-1] == traj.fixed_at
+        self.assert_round_trip(traj, state, tmp_path / "traj.csv")
+
+    def test_analyze_agrees_with_its_saved_trajectory(self, tmp_path, capsys):
+        # Each run stops at its last epoch start, so the final state is the
+        # only one recorded in the final topology.
+        for run in range(40):
+            state = draw_state(Model.SBC, 20, run, 5)
+            t = simulate(state).topology_epochs[-1][0]
+            path = tmp_path / f"state{run}.json"
+            path.write_text(json.dumps({"opinions": state.opinions.tolist(), "bounds": state.bounds.tolist()}))
+            prefix = str(tmp_path / f"run{run}")
+            assert main(["simulate", "--state", str(path), "--max-steps", str(t), "--out-prefix", prefix]) == 0
+            capsys.readouterr()
+            assert main(["analyze", "--state", str(path), "--max-steps", str(t)]) == 0
+            direct = capsys.readouterr().out
+            assert main(["analyze", "--state", str(path), "--trajectory", prefix + "_trajectory.csv"]) == 0
+            assert capsys.readouterr().out == direct
 
 
 class TestEdgeInputs:

@@ -193,7 +193,7 @@ class TestFinalTopologyFromTheEpoch:
 
     def test_max_steps_stop_past_the_last_epoch(self):
         # Stop each run at one of its epoch starts: the recorded final
-        # state already has the next epoch's digraph.
+        # state has the next epoch's digraph, and that epoch is recorded.
         rng = np.random.default_rng(149)
         checked = 0
         for _ in range(40):
@@ -202,10 +202,11 @@ class TestFinalTopologyFromTheEpoch:
             for t in starts:
                 traj = simulate(state, max_steps=t)
                 assert traj.termination is Termination.MAX_STEPS
-                assert traj.final_epoch.digraph != build_digraph(traj.final_state())
-                assert_same_pieces(
-                    analyze_final_topology(traj), reference_analyze_final_topology(traj)
-                )
+                assert traj.final_epoch.digraph == build_digraph(traj.final_state())
+                assert traj.final_epoch.start == traj.topology_epochs[-1][0] == t
+                got = analyze_final_topology(traj)
+                assert got[1] is traj.final_epoch.classification
+                assert_same_pieces(got, reference_analyze_final_topology(traj))
                 checked += 1
         assert checked >= 20
 
@@ -222,7 +223,7 @@ class TestFinalTopologyFromTheEpoch:
         path = tmp_path / "traj.csv"
         simulate(fig41_state, max_steps=40, limit_tol=0.0).to_csv(path)
         traj = load_trajectory_csv(str(path), fig41_state)
-        assert traj.final_epoch is None
+        assert (traj.final_epoch.start, traj.final_epoch.label) == traj.topology_epochs[-1]
         assert_same_pieces(analyze_final_topology(traj), reference_analyze_final_topology(traj))
 
 

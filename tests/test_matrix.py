@@ -108,12 +108,23 @@ class TestCanonicalDecomposition:
                 assert np.allclose(block, np.full((size, size), 1.0 / size))
                 offset += size
 
+    def test_blocks_are_views_of_the_permuted_matrix(self):
+        rng = np.random.default_rng(17)
+        for _ in range(100):
+            _, d = decompose(random_state(rng))
+            blocks = (d.C, d.M, d.Theta, d.ThetaC, d.ThetaM)
+            assert all(np.shares_memory(b, d.matrix) for b in blocks if b.size)
+            nc, no = d.n_closed, d.n - d.n_open
+            assert [b.shape for b in blocks] == [
+                (nc, nc), (no - nc, no - nc), (d.n_open, d.n_open), (d.n_open, nc), (d.n_open, no - nc)
+            ]
+
     def test_permutation_similarity_is_exact(self):
         rng = np.random.default_rng(15)
         for _ in range(100):
             state = random_state(rng)
             a, d = decompose(state)
-            abar = d.canonical_matrix()
+            abar = d.matrix
             inv = np.empty_like(d.permutation)
             inv[d.permutation] = np.arange(len(d.permutation))
             assert np.array_equal(abar[np.ix_(inv, inv)], a)

@@ -281,6 +281,22 @@ class TestLimitEquilibrium:
         assert not verdict.premise_holds
         assert verdict.topology_matches_tail is None
 
+    def test_limit_from_the_final_epoch(self, monkeypatch):
+        # The final epoch has the final state's mask, so its decomposition
+        # gives fvct(final) bit for bit, with no second classification.
+        from opinion_lab import stability
+
+        rng = np.random.default_rng(197)
+        cases = []
+        for k in range(60):
+            state = random_state(rng, max_n=10)
+            traj = simulate(state, max_steps=int(rng.integers(1, 60)), fixed_tol=(0.0, 1e-3)[k % 2])
+            cases.append((traj, fvct(traj.final_state())))
+        monkeypatch.setattr(stability, "fvct", None)
+        for traj, want in cases:
+            got = check_limit_equilibrium(traj, residual_tol=math.inf).x_infinity
+            assert got.tobytes() == want.tobytes()
+
     def test_finite_time_agreement_premise_holds(self):
         state = OpinionState(
             [0.0, 0.1, 5.0, 5.1], [0.2, 0.2, 0.2, 0.2], Model.SBC
