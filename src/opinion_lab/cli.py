@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import sys
 from dataclasses import asdict
 from functools import cache
@@ -198,6 +199,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def tolerance(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
+    return value
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by every later
@@ -217,9 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the dynamics from a state file")
     add_state_flags(p)
     p.add_argument("--max-steps", dest="max_steps", type=positive_int, default=100_000)
-    p.add_argument("--fixed-tol", dest="fixed_tol", type=float, default=0.0)
+    p.add_argument("--fixed-tol", dest="fixed_tol", type=tolerance, default=0.0)
     p.add_argument("--record-every", dest="record_every", type=positive_int, default=1)
-    p.add_argument("--limit-tol", dest="limit_tol", type=float, default=1e-12)
+    p.add_argument("--limit-tol", dest="limit_tol", type=tolerance, default=1e-12)
     p.add_argument("--out-prefix", dest="out_prefix", default=None)
     p.set_defaults(func=cmd_simulate)
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
@@ -14,7 +15,14 @@ from typing import Optional
 
 import numpy as np
 
-from opinion_lab.graph import ProximityDigraph, _neighbor_mask, build_digraph, classify
+from opinion_lab.graph import (
+    ProximityDigraph,
+    _distances,
+    _equi_topology_radius,
+    _neighbor_mask,
+    build_digraph,
+    classify,
+)
 from opinion_lab.matrix import adjacency_matrix, canonical_decomposition, fvct_canonical
 from opinion_lab.state import Model, OpinionState
 
@@ -24,7 +32,11 @@ def digraph_hash(g: ProximityDigraph) -> str:
     8 little-endian bytes, then every edge (i, j) as two little-endian
     uint32, in ascending order."""
     h = hashlib.sha256(g.n.to_bytes(8, "little"))
-    h.update(np.stack(np.nonzero(g.mask), axis=1, dtype="<u4", casting="unsafe"))
+    # Flat indices i n + j come out in ascending (i, j) order.
+    flat = np.flatnonzero(g.mask)
+    edges = np.empty((len(flat), 2), dtype="<u4")
+    np.divmod(flat, g.n, out=(edges[:, 0], edges[:, 1]), casting="unsafe")
+    h.update(edges)
     return h.hexdigest()[:16]
 
 
@@ -105,6 +117,9 @@ class Epoch:
     start: int
     state: OpinionState
     _limit: Optional[np.ndarray] = field(default=None, repr=False)
+    # A state of the epoch and the box around it that keeps its mask.
+    _anchor: Optional[np.ndarray] = field(default=None, repr=False)
+    _radius: Optional[np.ndarray] = field(default=None, repr=False)
 
     @cached_property
     def digraph(self) -> ProximityDigraph:
@@ -134,19 +149,57 @@ class Epoch:
         return self._limit
 
 
+# The box |x_i - a_i| < rho_i around an anchor a keeps a's proximity mask.
+# Exactly, a pair's distance moves by at most |x_i - a_i| + |x_j - a_j|,
+# less than eps_i + eps_j <= its slack to the bound (eps is the paper's
+# equi-topology distance at a), so it stays on its side of the bound.  In
+# floating point the distances at a and at x, the slack and the box test
+# each round with relative error at most u = 2**-53, and a distance below
+# 2 max|a| errs by at most 2u max|a|; with rho = eps (1 - 8u) - 8u max|a|
+# the computed distance still moves by less than (1 - 3u) slack + 2**-1073,
+# below the slack itself while eps >= 2**-1020.  Below that floor, or once
+# max|a| >= 2**1000 (where a distance could overflow), rho is 0: no box.
+_U = 2.0**-53
+_RADIUS_FLOOR = 2.0**-1020
+_ANCHOR_CEILING = 2.0**1000
+
+
+def _anchor_radius(dist: np.ndarray, a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The radii rho of the box around anchor ``a`` with distance matrix
+    ``dist`` and bounds ``r``."""
+    eps = _equi_topology_radius(dist, r)
+    size = float(np.abs(a).max())
+    rho = eps * (1.0 - 8 * _U) - 8 * _U * size
+    return np.where((eps >= _RADIUS_FLOOR) & (size < _ANCHOR_CEILING), rho, 0.0)
+
+
 def _epoch_at(epoch: Optional[Epoch], t: int, x: np.ndarray, state: OpinionState, log: list):
     """The epoch of opinions ``x`` at step ``t``: ``epoch`` while ``x`` keeps
     its proximity mask, else a new epoch from ``t``, logged as ``(t, label)``
-    in ``log``.  ``state`` supplies the bounds and the model."""
-    if epoch is None or (_neighbor_mask(x, state.bounds, state.kind) != epoch.digraph.mask).any():
-        epoch = Epoch(t, state.with_opinions(x))
-        log.append((t, epoch.label))
+    in ``log``.  ``state`` supplies the bounds and the model.
+
+    Inside the box of the epoch's anchor the mask is known to be kept;
+    elsewhere it is compared exactly, and a state that keeps it becomes the
+    new anchor.  A new epoch gets its anchor at its first kept state, so a
+    run in which every compared state changes the mask builds no box.
+    """
+    if epoch is not None:
+        if epoch._anchor is not None and (np.abs(x - epoch._anchor) < epoch._radius).all():
+            return epoch
+        dist = _distances(x)
+        if not (_neighbor_mask(dist, state.bounds, state.kind) != epoch.digraph.mask).any():
+            epoch._anchor, epoch._radius = x, _anchor_radius(dist, x, state.bounds)
+            return epoch
+    epoch = Epoch(t, state.with_opinions(x))
+    log.append((t, epoch.label))
     return epoch
 
 
 # |x - f| < tol implies |Ax - x| < 2 tol (A is row-stochastic and Af = f), so
-# the epoch's fvct is only needed once a step moves less than this many tols;
-# the margin above 2 absorbs rounding and the error of the computed fvct.
+# the epoch's fvct is only needed once a step moves less than this many times
+# tol plus the rounding of a step, n u max|x| (no state outgrows the first);
+# the margin above 2 absorbs the rest of the rounding and the error of the
+# computed fvct.
 _LIMIT_MARGIN = 1e3
 
 
@@ -177,8 +230,12 @@ def simulate(
         raise ValueError("max_steps must be >= 1")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
+    for name, tol in (("fixed_tol", fixed_tol), ("limit_tol", limit_tol)):
+        if not 0.0 <= tol < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {tol}")
 
     x = np.array(state.opinions, dtype=float)
+    limit_gate = _LIMIT_MARGIN * (limit_tol + state.n * _U * float(np.max(np.abs(x))))
     times, rows, epochs = [], [], []
     epoch = fixed_at = None
     termination = Termination.MAX_STEPS
@@ -192,15 +249,15 @@ def simulate(
             rows.append(x)
 
         x_next = epoch.matrix @ x
-        moved = float(np.max(np.abs(x_next - x)))
+        moved = float(np.abs(x_next - x).max())
         fixed = moved <= fixed_tol if fixed_tol > 0.0 else not (x_next != x).any()
         if fixed:
             fixed_at = t + 1
         if (
             limit_tol > 0.0
             and t > epoch.start
-            and moved < _LIMIT_MARGIN * limit_tol
-            and np.max(np.abs(x - epoch.fvct())) < limit_tol
+            and moved < limit_gate
+            and np.abs(x - epoch.fvct()).max() < limit_tol
         ):
             termination = Termination.TOLERANCE_REACHED
             break
@@ -262,6 +319,13 @@ class PseudoStableVerdict:
     converging_set: frozenset
 
 
+def _true_suffix(ok: np.ndarray) -> np.ndarray:
+    """Per column of ``ok``, the length of its all-true final run."""
+    failed = ~ok[::-1]
+    first = failed.argmax(axis=0)
+    return np.where(failed[first, np.arange(ok.shape[1])], first, len(ok))
+
+
 def pseudo_stable_check(
     traj: Trajectory, limit: np.ndarray, fixed_tol: float = 0.0
 ) -> PseudoStableVerdict:
@@ -283,13 +347,17 @@ def pseudo_stable_check(
     a, b = x[:-1], x[1:]
     npairs = len(a)
 
-    at_limit = np.abs(x - limit) <= fixed_tol
-    ok = np.stack([at_limit[:-1] & at_limit[1:], ((a < b) & (b < limit)) | ((a > b) & (b > limit))])
+    # On finite states |x - limit| <= 0 exactly where x == limit, which
+    # needs no float temporary.
+    at_limit = x == limit if fixed_tol == 0.0 else np.abs(x - limit) <= fixed_tol
+    converging = ((a < b) & (b < limit)) | ((a > b) & (b > limit))
     # Per clause and agent, the earliest pair index from which the clause
-    # holds through the end: the pair count less its all-true suffix.
-    fixed_from, conv_from = npairs - np.logical_and.accumulate(ok[:, ::-1], axis=1).sum(axis=1)
-    # Not even the final state sits at the limit.
-    fixed_from[(fixed_from == npairs) & (np.abs(x[-1] - limit) > fixed_tol)] = npairs + 1
+    # holds through the end.  A fixed pair needs both its states at the
+    # limit, so with L final states there the fixed clause holds from pair
+    # len(x) - L: past the last pair (npairs + 1) when not even the final
+    # state sits at the limit.
+    fixed_from = len(x) - _true_suffix(at_limit)
+    conv_from = npairs - _true_suffix(converging)
     # The converging clause needs at least one verifiable pair.
     conv_from[conv_from == npairs] = npairs + 1
     best = np.minimum(fixed_from, conv_from)

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -62,6 +63,8 @@ class ExperimentConfig:
             raise ValueError("check_every must be >= 1")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+        if not 0.0 <= self.limit_tol < math.inf:
+            raise ValueError(f"limit_tol must be finite and >= 0, got {self.limit_tol}")
 
     @classmethod
     def from_json_file(cls, path) -> "ExperimentConfig":

@@ -7,6 +7,7 @@ it is a sink but not complete, and open-minded otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -101,16 +102,38 @@ class Classification:
 def proximity_mask(state: OpinionState) -> np.ndarray:
     """Boolean edge matrix of the neighbor inequality, unvalidated (cheap
     enough for per-step change detection)."""
-    return _neighbor_mask(state.opinions, state.bounds, state.kind)
+    return _neighbor_mask(_distances(state.opinions), state.bounds, state.kind)
 
 
-def _neighbor_mask(y: np.ndarray, r: np.ndarray, kind: Model) -> np.ndarray:
-    """``proximity_mask`` on bare vectors, for loops that step opinions under
-    fixed, already validated bounds."""
-    dist = np.abs(y[:, None] - y[None, :])
+def _distances(y: np.ndarray) -> np.ndarray:
+    """All pairwise distances ``|y_i - y_j|``."""
+    dist = y[:, None] - y[None, :]
+    return np.abs(dist, out=dist)
+
+
+def _neighbor_mask(dist: np.ndarray, r: np.ndarray, kind: Model) -> np.ndarray:
+    """``proximity_mask`` on the distance matrix and bare bounds, for loops
+    that step opinions under fixed, already validated bounds."""
     if kind is Model.SBC:
         return dist <= r[:, None]
     return dist <= r[None, :]
+
+
+def _equi_topology_radius(dist: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Per agent, half the smallest slack ``|dist_ij - r|`` between its
+    distance to another agent and either agent's bound, from the distance
+    matrix: the same for both models, as each takes both bounds.
+
+    Row i of ``|dist - r_i|`` holds the slacks against i's own bound and
+    column i those against the others'.  A single agent has none and gets
+    +inf.  A slack against an infinite bound is +inf, also where the
+    distance overflowed to inf: inf - inf is NaN, which fmin skips.
+    """
+    with np.errstate(invalid="ignore"):
+        slack = dist - r[:, None]
+    np.abs(slack, out=slack)
+    np.fill_diagonal(slack, math.inf)
+    return 0.5 * np.fmin(np.fmin.reduce(slack, axis=0), np.fmin.reduce(slack, axis=1))
 
 
 def build_digraph(state: OpinionState) -> ProximityDigraph:

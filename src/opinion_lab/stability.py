@@ -10,7 +10,14 @@ from typing import Optional
 import numpy as np
 
 from opinion_lab.dynamics import Termination, Trajectory
-from opinion_lab.graph import build_digraph, proximity_mask, reachability, weak_components
+from opinion_lab.graph import (
+    _distances,
+    _equi_topology_radius,
+    build_digraph,
+    proximity_mask,
+    reachability,
+    weak_components,
+)
 from opinion_lab.matrix import adjacency_matrix, fvct, fvct_canonical
 from opinion_lab.state import Model, OpinionState
 
@@ -23,17 +30,7 @@ def equi_topology_distance(state: OpinionState) -> np.ndarray:
     returned as a sentinel.  A slack against an infinite bound is +inf,
     also where the distance overflowed to inf.
     """
-    z = state.opinions
-    r = state.bounds
-    n = state.n
-    if n == 1:
-        return np.array([math.inf])
-    dist = np.abs(z[:, None] - z[None, :])
-    # inf - inf is NaN, a slack of +inf, which fmin skips (diagonals stay inf).
-    with np.errstate(invalid="ignore"):
-        slack = np.fmin(np.abs(dist - r[:, None]), np.abs(dist - r[None, :]))
-    np.fill_diagonal(slack, math.inf)
-    return 0.5 * np.fmin.reduce(slack, axis=1)
+    return _equi_topology_radius(_distances(state.opinions), state.bounds)
 
 
 def invariant_equi_topology_distance(

@@ -54,6 +54,51 @@ def grid_state(rng, max_n=30):
     return OpinionState(rng.integers(0, 17, n) / 16, rng.integers(1, 9, n) / 16, kind)
 
 
+def edge_states(rng, max_n=12):
+    """States at the edges of the neighbor rule and of float64: random,
+    1/16-grid ties, duplicate opinions, infinite bounds, opinions and bounds
+    near ±1e300 and subnormal ones, and single agents."""
+    for k in range(60):
+        kind = Model.SBC if k % 2 else Model.SBI
+        n = int(rng.integers(2, max_n + 1))
+        y, r = rng.uniform(-1.0, 1.0, n), rng.uniform(0.05, 0.8, n)
+        family = k % 6
+        if family == 0:
+            yield OpinionState(y, r, kind)
+        elif family == 1:
+            yield OpinionState(rng.integers(0, 17, n) / 16, rng.integers(1, 9, n) / 16, kind)
+        elif family == 2:
+            yield OpinionState(np.repeat(y[: (n + 1) // 2], 2)[:n], r, kind)
+        elif family == 3:
+            yield OpinionState(y, np.where(rng.random(n) < 0.4, np.inf, r), kind)
+        elif family == 4:
+            scale = 1e300 if k % 4 else -1e300
+            yield OpinionState(y * scale, r * abs(scale), kind)
+        else:
+            yield OpinionState(y * 1e-310, r * 1e-310, kind)
+    yield OpinionState([0.3], [0.1], Model.SBC)
+    yield OpinionState([0.3], [np.inf], Model.SBI)
+
+
+def two_matrix_equi_topology_distance(state):
+    """The equi-topology distance as it was first written: the slack matrix
+    against the listener's bound and the one against the speaker's, their
+    elementwise minimum, and its row minima."""
+    import math
+
+    z = state.opinions
+    r = state.bounds
+    n = state.n
+    if n == 1:
+        return np.array([math.inf])
+    dist = np.abs(z[:, None] - z[None, :])
+    # inf - inf is NaN, a slack of +inf, which fmin skips (diagonals stay inf).
+    with np.errstate(invalid="ignore"):
+        slack = np.fmin(np.abs(dist - r[:, None]), np.abs(dist - r[None, :]))
+    np.fill_diagonal(slack, math.inf)
+    return 0.5 * np.fmin.reduce(slack, axis=1)
+
+
 def digraph_oracle(state):
     """Direct double-loop evaluation of the neighbor inequality."""
     y, r = state.opinions, state.bounds

@@ -516,3 +516,11 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert f"argument {flag}: must be >= 1, got 0" in err
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--fixed-tol", "--limit-tol"])
+    @pytest.mark.parametrize("value", ["nan", "-1e-12", "inf", "-inf", "x"])
+    def test_bad_tolerance(self, three_agent_json, capsys, flag, value):
+        rc = main(["simulate", "--state", three_agent_json, f"{flag}={value}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err and "Traceback" not in err

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,15 @@ from opinion_lab import (
     pseudo_stable_check,
     simulate,
 )
-from opinion_lab.stability import _weak_components
+from opinion_lab import dynamics
+from opinion_lab.cli import load_trajectory_csv
+from opinion_lab.dynamics import Epoch
+from opinion_lab.experiment import draw_state
+from opinion_lab.graph import _distances, _neighbor_mask
+from opinion_lab.stability import _weak_components, equi_topology_distance
 
 from conftest import (
+    edge_states,
     epoch_start_states,
     grid_state,
     loop_per_step_factor,
@@ -213,6 +221,195 @@ class TestSimulate:
             simulate(fig41_state, max_steps=0)
         with pytest.raises(ValueError):
             simulate(fig41_state, record_every=0)
+
+    @pytest.mark.parametrize("option", ["fixed_tol", "limit_tol"])
+    @pytest.mark.parametrize("value", [math.nan, -1e-12, -math.inf, math.inf])
+    def test_rejects_a_tolerance_that_is_not_finite_and_nonnegative(self, fig41_state, option, value):
+        # A NaN limit_tol used to switch the tolerance stop off silently, and
+        # a NaN or negative fixed_tol to mean an exact fixed check.
+        with pytest.raises(ValueError, match=option):
+            simulate(fig41_state, **{option: value})
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("fixed_tol", [0.0, 1e-9])
+    def test_edge_states_match_reference_loop_and_loader(self, tmp_path, fixed_tol):
+        # No tolerance stop: at opinions near 1e300 the reference's limit
+        # (from an epoch's second state) and simulate's (from its first)
+        # differ by more than any absolute tolerance below their rounding.
+        rng = np.random.default_rng(181)
+        path = str(tmp_path / "trajectory.csv")
+        for k, state in enumerate(edge_states(rng)):
+            max_steps = 5 if k % 5 == 0 else 400
+            got = simulate(state, max_steps=max_steps, fixed_tol=fixed_tol, limit_tol=0.0)
+            want = reference_simulate(state, max_steps, fixed_tol=fixed_tol, limit_tol=0.0)
+            assert got.times == want.times
+            assert got.states.tobytes() == want.states.tobytes()
+            assert got.topology_epochs == want.topology_epochs
+            assert (got.termination, got.fixed_at) == (want.termination, want.fixed_at)
+            got.to_csv(path)
+            loaded = load_trajectory_csv(path, state)
+            assert loaded.states.tobytes() == got.states.tobytes()
+            assert loaded.topology_epochs == got.topology_epochs
+            assert loaded.final_epoch.start == got.final_epoch.start
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_tolerance_stop_is_the_first_step_near_its_epoch_limit(self):
+        # At any magnitude: the step gate before the limit check must not
+        # hold back a stop.  Near 1e300 a step's rounding alone moves the
+        # state by more than 1e3 tolerances.
+        rng = np.random.default_rng(211)
+        limit_tol = 1e-12
+        stops = 0
+        for state in edge_states(rng):
+            traj = simulate(state, max_steps=400, limit_tol=limit_tol)
+            dense = simulate(state, max_steps=traj.times[-1], limit_tol=0.0)
+            # A fixed or max_steps stop at t checks its steps before t.
+            checked = traj.times[-1] + (traj.termination is Termination.TOLERANCE_REACHED)
+            starts = [t for t, _ in dense.topology_epochs] + [checked]
+            first = None
+            for s, end in zip(starts, starts[1:]):
+                f = Epoch(s, state.with_opinions(dense.states[s])).fvct()
+                near = [t for t in range(s + 1, end) if np.max(np.abs(dense.states[t] - f)) < limit_tol]
+                if near:
+                    first = near[0]
+                    break
+            if traj.termination is Termination.TOLERANCE_REACHED:
+                stops += 1
+                assert traj.times[-1] == first
+            else:
+                assert first is None
+        assert stops > 20
+
+
+class TestAnchorBox:
+    """The box around an anchor state inside which the epoch detector skips
+    the proximity mask."""
+
+    @staticmethod
+    def anchors(rng):
+        yield from edge_states(rng, max_n=20)
+        for _ in range(40):
+            yield grid_state(rng)
+        for _ in range(40):
+            yield random_state(rng, max_n=30)
+        for state in epoch_start_states(rng, runs=4):
+            yield state
+        # Opinions of mixed magnitudes, each bound a few ulps from one of
+        # its agent's distances, where the rounding of a distance decides
+        # the mask: a box of the bare radius eps does not keep it here.
+        for k in range(300):
+            a = rng.uniform(-1.0, 1.0, 3) * 10.0 ** rng.integers(-3, 8, 3)
+            dist = _distances(a)
+            r = dist[np.arange(3), (np.arange(3) + rng.integers(1, 3, 3)) % 3]
+            for _ in range(int(rng.integers(1, 40))):
+                r = np.nextafter(r, np.where(rng.random(3) < 0.5, np.inf, 0.0))
+            if (r > 0).all():
+                yield OpinionState(a, r, Model.SBC if k % 2 else Model.SBI)
+
+    @staticmethod
+    def box(state):
+        a = state.opinions
+        return dynamics._anchor_radius(_distances(a), a, state.bounds)
+
+    @staticmethod
+    def inside(rng, a, rho):
+        """Points of the box |x - a| < rho, agents without a positive
+        radius kept at the anchor: random ones and its corners pulled in by
+        whole ulps."""
+        reach = np.clip(rho, 0.0, 1e300)
+        for k in range(12):
+            sign = rng.choice([-1.0, 1.0], len(a))
+            frac = 1.0 if k % 2 else rng.uniform(0.0, 1.0, len(a))
+            x = a + sign * frac * reach
+            out = (np.abs(x - a) >= reach) & (reach > 0)
+            while out.any():
+                x[out] = np.nextafter(x[out], a[out])
+                out = (np.abs(x - a) >= reach) & (reach > 0)
+            yield x
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_the_box_keeps_the_mask(self):
+        rng = np.random.default_rng(191)
+        boxes = points = 0
+        for state in self.anchors(rng):
+            a, r = state.opinions, state.bounds
+            rho = self.box(state)
+            assert (rho <= equi_topology_distance(state)).all()
+            want = _neighbor_mask(_distances(a), r, state.kind)
+            boxes += bool((rho > 0).all())
+            for x in self.inside(rng, a, rho):
+                assert np.array_equal(_neighbor_mask(_distances(x), r, state.kind), want)
+                if (rho > 0).all():
+                    assert (np.abs(x - a) < rho).all()
+                    points += 1
+        assert boxes > 100 and points > 1000
+
+    def test_no_box_where_rounding_is_unbounded(self):
+        # Subnormal slacks and opinions beyond 2**1000 give radius 0.
+        for y, r in (([0.0, 3e-320], [1e-320, 1e-320]), ([0.0, 2.0**1001], [1.0, 1.0])):
+            state = OpinionState(y, r, Model.SBC)
+            assert (equi_topology_distance(state) > 0).all()
+            assert not self.box(state).any()
+
+    def test_a_pair_moved_by_its_slack_leaves_the_box_and_changes_the_mask(self):
+        # Negative control: move the two agents of an agent's tightest pair
+        # towards the bound that sets its slack by just over half the slack
+        # each, so the pair crosses it.
+        rng = np.random.default_rng(197)
+        crossed = 0
+        for state in self.anchors(rng):
+            a, r = state.opinions, state.bounds
+            eps = equi_topology_distance(state)
+            i = int(np.argmin(eps))
+            if np.abs(a).max() > 10.0 or not 1e-6 < eps[i] < np.inf:
+                continue
+            dist = _distances(a)
+            j, bound = next(
+                (j, bound) for j in range(state.n) if j != i
+                for bound in (r[i], r[j]) if abs(dist[i, j] - bound) == 2 * eps[i]
+            )
+            step = eps[i] * (1 + 1e-6)
+            toward = 1.0 if dist[i, j] > bound else -1.0  # shrink or stretch the pair
+            lo, hi = (i, j) if a[i] <= a[j] else (j, i)
+            x = a.copy()
+            x[lo] += toward * step
+            x[hi] -= toward * step
+            assert not (np.abs(x - a) < self.box(state)).all()
+            mask_a = _neighbor_mask(dist, r, state.kind)
+            assert not np.array_equal(_neighbor_mask(_distances(x), r, state.kind), mask_a)
+            crossed += 1
+        assert crossed > 50
+
+
+class TestMaskEvaluations:
+    """The exact mask runs only where a state leaves its epoch's box."""
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        calls = []
+        real = getattr(dynamics, name)
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(dynamics, name, counting)
+        return calls
+
+    def test_a_long_constant_topology_tail_skips_most_masks(self, monkeypatch):
+        masks = self.counted(monkeypatch, "_neighbor_mask")
+        traj = simulate(draw_state(Model.SBC, 50, 0, 1))
+        steps = traj.times[-1]
+        assert steps - traj.final_epoch.start > 500
+        assert len(masks) < steps / 5
+
+    def test_a_run_of_new_epochs_builds_no_box(self, monkeypatch):
+        masks = self.counted(monkeypatch, "_neighbor_mask")
+        boxes = self.counted(monkeypatch, "_anchor_radius")
+        traj = simulate(draw_state(Model.SBI, 100, 0, 1), max_steps=9)
+        assert [t for t, _ in traj.topology_epochs] == list(range(10))
+        assert len(masks) == 9 and not boxes
+        assert traj.final_epoch._anchor is None
 
 
 class TestPerStepFactor:

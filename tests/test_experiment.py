@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -59,6 +60,9 @@ class TestConfig:
             ExperimentConfig(agent_counts=(0,))
         with pytest.raises(ValueError):
             ExperimentConfig(agent_counts=(5,), max_steps=0)
+        for limit_tol in (math.nan, -1e-12, math.inf):
+            with pytest.raises(ValueError, match="limit_tol"):
+                ExperimentConfig(agent_counts=(5,), limit_tol=limit_tol)
 
     def test_from_json_file(self, tmp_path):
         path = tmp_path / "cfg.json"

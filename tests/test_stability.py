@@ -23,7 +23,14 @@ from opinion_lab import (
 )
 from opinion_lab.graph import SccClass, proximity_mask
 
-from conftest import loop_topology_matches_tail, neighbor_lists, random_state
+from conftest import (
+    edge_states,
+    grid_state,
+    loop_topology_matches_tail,
+    neighbor_lists,
+    random_state,
+    two_matrix_equi_topology_distance,
+)
 
 
 def sample_in_neighborhood(rng, z, radii, scale=1.0):
@@ -51,6 +58,21 @@ class TestEquiTopologyDistance:
     def test_two_agents(self):
         state = OpinionState([0.0, 1.0], [0.3, 0.3], Model.SBC)
         assert np.allclose(equi_topology_distance(state), [0.35, 0.35])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_bitwise_equal_to_the_two_matrix_formula(self):
+        rng = np.random.default_rng(173)
+        states = list(edge_states(rng))
+        states += [grid_state(rng) for _ in range(40)] + [random_state(rng) for _ in range(40)]
+        for kind in Model:
+            states.append(OpinionState([-1e308, 1e308, 0.0, 1e308], [math.inf, 0.1, 0.1, 2e307], kind))
+            states.append(OpinionState([0.0, 0.5, 0.5, 2.0], [math.inf, math.inf, 0.5, math.inf], kind))
+        for state in states:
+            got = equi_topology_distance(state)
+            assert got.tobytes() == two_matrix_equi_topology_distance(state).tobytes()
+            # The same for both models: each takes both agents' bounds.
+            other = OpinionState(state.opinions, state.bounds, Model.SBI if state.kind is Model.SBC else Model.SBC)
+            assert equi_topology_distance(other).tobytes() == got.tobytes()
 
     def test_single_agent_sentinel(self):
         eps = equi_topology_distance(OpinionState([0.2], [0.1]))
