@@ -116,6 +116,7 @@ class Epoch:
 
     start: int
     state: OpinionState
+    _mask: Optional[np.ndarray] = field(default=None, repr=False)  # state's mask, if known
     _limit: Optional[np.ndarray] = field(default=None, repr=False)
     # A state of the epoch and the box around it that keeps its mask.
     _anchor: Optional[np.ndarray] = field(default=None, repr=False)
@@ -123,7 +124,7 @@ class Epoch:
 
     @cached_property
     def digraph(self) -> ProximityDigraph:
-        return build_digraph(self.state)
+        return build_digraph(self.state) if self._mask is None else ProximityDigraph(self._mask)
 
     @cached_property
     def label(self) -> str:
@@ -183,14 +184,16 @@ def _epoch_at(epoch: Optional[Epoch], t: int, x: np.ndarray, state: OpinionState
     new anchor.  A new epoch gets its anchor at its first kept state, so a
     run in which every compared state changes the mask builds no box.
     """
+    mask = None
     if epoch is not None:
         if epoch._anchor is not None and (np.abs(x - epoch._anchor) < epoch._radius).all():
             return epoch
         dist = _distances(x)
-        if not (_neighbor_mask(dist, state.bounds, state.kind) != epoch.digraph.mask).any():
+        mask = _neighbor_mask(dist, state.bounds, state.kind)
+        if not (mask != epoch.digraph.mask).any():
             epoch._anchor, epoch._radius = x, _anchor_radius(dist, x, state.bounds)
             return epoch
-    epoch = Epoch(t, state.with_opinions(x))
+    epoch = Epoch(t, state.with_opinions(x), mask)
     log.append((t, epoch.label))
     return epoch
 

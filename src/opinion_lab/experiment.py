@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from opinion_lab.dynamics import Termination, simulate
+from opinion_lab.graph import proximity_mask
 from opinion_lab.stability import (
     equi_topology_distance,
     in_neighborhood,
@@ -160,7 +161,10 @@ def run_single(
     )
     epoch = traj.final_epoch
     f_state = state.with_opinions(epoch.fvct())
-    delta = invariant_equi_topology_distance(f_state, equi_topology_distance(f_state))
+    # The limit usually keeps the final epoch's digraph and classification.
+    same = np.array_equal(proximity_mask(f_state), epoch.digraph.mask)
+    c = epoch.classification if same else None
+    delta = invariant_equi_topology_distance(f_state, equi_topology_distance(f_state), c)
     # A tolerance stop checks its final step; a fixed or max_steps stop
     # records one step past its last check.
     stop = traj.times[-1] + (traj.termination is Termination.TOLERANCE_REACHED)

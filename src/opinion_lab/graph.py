@@ -7,6 +7,7 @@ it is a sink but not complete, and open-minded otherwise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -146,53 +147,57 @@ def build_digraph(state: OpinionState) -> ProximityDigraph:
     return ProximityDigraph(proximity_mask(state))
 
 
+def _bit_rows(mask: np.ndarray) -> list:
+    """Row i of a boolean matrix as a Python int with bit j set iff
+    ``mask[i, j]``: the one connectivity primitive, with no closure."""
+    return [int.from_bytes(row, "little") for row in np.packbits(mask, axis=1, bitorder="little")]
+
+
+def _bit_matrix(bitsets: list, n: int) -> np.ndarray:
+    """The inverse of ``_bit_rows``: one 0/1 row of width n per int."""
+    width = (n + 7) // 8
+    data = np.frombuffer(b"".join(b.to_bytes(width, "little") for b in bitsets), np.uint8)
+    return np.unpackbits(data.reshape(len(bitsets), width), axis=1, count=n, bitorder="little")
+
+
 def strongly_connected_components(g: ProximityDigraph) -> list:
-    """Tarjan's algorithm, iterative and deterministic, over mask rows.
-
-    Roots are tried in ascending node order and each node's next child is
-    its smallest unvisited out-neighbor, so the output order is
-    reproducible: SCCs appear in reverse topological order (a component is
-    emitted before any of its predecessors), members sorted ascending.
-    A finished node takes its lowlink over its on-stack out-neighbors at
-    once: those below it on the stack are still there, and any above it
-    cannot lower the minimum.
+    """Path-based SCCs (Gabow, IPL 2000) over bitset rows, iterative and
+    deterministic.  Roots are tried in ascending node order and each node's
+    next child is its smallest unvisited out-neighbor, as in Tarjan's
+    search, so the output order is reproducible: SCCs appear in reverse
+    topological order (a component is emitted before any of its
+    predecessors), members sorted ascending.  Each boundary of the path
+    stack keeps the bitset of the nodes below its segment; a finished node
+    merges the segments above any node it reaches there, and a node still
+    at the top boundary closes its component.
     """
-    mask = g.mask
-    index = np.full(g.n, -1)
-    lowlink = [0] * g.n
-    unvisited = np.ones(g.n, dtype=bool)
-    on_stack = np.zeros(g.n, dtype=bool)
+    rows = _bit_rows(g.mask)
+    unvisited = (1 << g.n) - 1
+    on_stack = 0
     stack: list = []
+    boundaries: list = []  # (node, its stack position, on_stack below it)
     sccs: list = []
-    counter = 0
-
-    for root in range(g.n):
-        if not unvisited[root]:
-            continue
-        work = [root]
+    while unvisited:
+        work = [(unvisited & -unvisited).bit_length() - 1]
         while work:
             v = work[-1]
-            if unvisited[v]:
-                index[v] = lowlink[v] = counter
-                counter += 1
-                unvisited[v] = False
-                on_stack[v] = True
+            bit = 1 << v
+            if unvisited & bit:
+                unvisited ^= bit
+                boundaries.append((v, len(stack), on_stack))
                 stack.append(v)
-            fresh = mask[v] & unvisited
-            w = int(fresh.argmax())
-            if fresh[w]:
-                work.append(w)
+                on_stack |= bit
+            fresh = rows[v] & unvisited
+            if fresh:
+                work.append((fresh & -fresh).bit_length() - 1)
                 continue
             work.pop()
-            lowlink[v] = min(lowlink[v], int(index[mask[v] & on_stack].min()))
-            if lowlink[v] == index[v]:
-                k = stack.index(v)
-                on_stack[stack[k:]] = False
+            while rows[v] & boundaries[-1][2]:
+                boundaries.pop()
+            if boundaries[-1][0] == v:
+                _, k, on_stack = boundaries.pop()
                 sccs.append(sorted(stack[k:]))
                 del stack[k:]
-            if work:
-                parent = work[-1]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
     return sccs
 
 
@@ -203,15 +208,19 @@ def classify(g: ProximityDigraph) -> Classification:
     for k, members in enumerate(sccs):
         scc_of[members] = k
 
-    rows, cols = np.nonzero(g.mask)
+    # An SCC's out-neighbors are the union of its members' rows; a sink is
+    # complete iff each member's row holds the whole SCC.
+    rows = _bit_rows(g.mask)
+    out = [functools.reduce(int.__or__, [rows[v] for v in members]) for members in sccs]
+    ks, cols = np.nonzero(_bit_matrix(out, g.n))
     cond = np.zeros((len(sccs), len(sccs)), dtype=bool)
-    cond[scc_of[rows], scc_of[cols]] = True
+    cond[ks, scc_of[cols]] = True
     np.fill_diagonal(cond, False)
 
     is_open = cond.any(axis=1)
     classes = tuple(
         SccClass.OPEN if is_open[k]
-        else SccClass.CLOSED if g.mask[np.ix_(members, members)].all()
+        else SccClass.CLOSED if all(rows[v].bit_count() == len(members) for v in members)
         else SccClass.MODERATE
         for k, members in enumerate(sccs)
     )
@@ -231,33 +240,21 @@ def classify(g: ProximityDigraph) -> Classification:
     )
 
 
-def reachability(mask: np.ndarray) -> np.ndarray:
-    """Transitive closure of a reflexive boolean adjacency matrix by repeated
-    squaring: entry (i, j) is true iff there is a path from i to j.
-
-    Each square is a float32 product, which runs on BLAS where a boolean
-    one does not.  It is exact: an entry counts the paths through one
-    midpoint, an integer of at most n, and sums of 0/1 products cannot
-    cancel, so it is positive exactly where the boolean product is true.
-    """
-    reach = mask
-    for _ in range(len(reach).bit_length() + 1):
-        f = reach.astype(np.float32)
-        closed = (f @ f) > 0
-        if np.array_equal(closed, reach):
-            break
-        reach = closed
-    return reach
-
-
 def weak_components(mask: np.ndarray) -> tuple:
-    """WCCs of the digraph with boolean adjacency ``mask``, each sorted
-    ascending, in order of smallest member."""
+    """WCCs of the digraph with boolean adjacency ``mask`` by bitset flood
+    fill, each sorted ascending, in order of smallest member."""
     n = len(mask)
-    if n == 0:
-        return ()
-    reach = reachability(mask | mask.T | np.eye(n, dtype=bool))
-    # Row i marks i's component; its first true column is the smallest member.
-    firsts = np.flatnonzero(reach.argmax(axis=1) == np.arange(n))
-    return tuple(tuple(np.flatnonzero(reach[v]).tolist()) for v in firsts)
-
+    rows = _bit_rows(mask | mask.T)
+    unseen = (1 << n) - 1
+    out = []
+    while unseen:
+        comp = frontier = unseen & -unseen
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            fresh = rows[low.bit_length() - 1] & ~comp
+            comp |= fresh
+            frontier |= fresh
+        unseen ^= comp
+        out.append(comp)
+    return tuple(tuple(np.flatnonzero(row).tolist()) for row in _bit_matrix(out, n))

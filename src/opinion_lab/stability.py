@@ -9,16 +9,17 @@ from typing import Optional
 
 import numpy as np
 
-from opinion_lab.dynamics import Termination, Trajectory
+from opinion_lab.dynamics import Epoch, Termination, Trajectory
 from opinion_lab.graph import (
+    Classification,
     _distances,
     _equi_topology_radius,
     build_digraph,
+    classify,
     proximity_mask,
-    reachability,
     weak_components,
 )
-from opinion_lab.matrix import adjacency_matrix, fvct, fvct_canonical
+from opinion_lab.matrix import adjacency_matrix, fvct_canonical
 from opinion_lab.state import Model, OpinionState
 
 
@@ -34,14 +35,23 @@ def equi_topology_distance(state: OpinionState) -> np.ndarray:
 
 
 def invariant_equi_topology_distance(
-    state: OpinionState, eps: np.ndarray
+    state: OpinionState, eps: np.ndarray, classification: Optional[Classification] = None
 ) -> np.ndarray:
     """Per-agent minimum of eps over its digraph predecessors (self
-    included), via the boolean transitive closure."""
-    reach = reachability(proximity_mask(state))
-    eps = np.asarray(eps, dtype=float)
-    # Column i of the closure marks everyone who can reach agent i.
-    return np.where(reach, eps[:, None], math.inf).min(axis=0)
+    included), in one pass over the condensation of ``classification``,
+    which must classify ``state``'s digraph and is computed when not given.
+    The SCCs are in reverse topological order, so walking them from the last
+    pushes each SCC's exact minimum to its successors after all of its
+    predecessors have pushed theirs."""
+    c = classify(build_digraph(state)) if classification is None else classification
+    scc_of = np.array(c.scc_of)
+    best = np.full(len(c.sccs), math.inf)
+    np.minimum.at(best, scc_of, np.asarray(eps, dtype=float))
+    best = best.tolist()
+    for k in range(len(best) - 1, -1, -1):
+        for m in c.condensation[k]:
+            best[m] = min(best[m], best[k])
+    return np.array(best)[scc_of]
 
 
 def in_neighborhood(y: np.ndarray, z_state: OpinionState, radii: np.ndarray) -> bool:
@@ -67,24 +77,29 @@ def check_equal_topology(y: np.ndarray, z_state: OpinionState) -> bool:
     return bool(np.array_equal(proximity_mask(z_state.with_opinions(y)), proximity_mask(z_state)))
 
 
-def is_equilibrium(state: OpinionState, tol: float = 0.0) -> bool:
-    """Fixed point of the averaging map within tol (inf-norm)."""
+def is_equilibrium(
+    state: OpinionState, tol: float = 0.0, matrix: Optional[np.ndarray] = None
+) -> bool:
+    """Fixed point of the averaging map within tol (inf-norm).  ``matrix``
+    must be the state's averaging matrix; it is built when not given."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    g = build_digraph(state)
+    a = adjacency_matrix(build_digraph(state)) if matrix is None else matrix
     y = state.opinions
-    return bool(np.max(np.abs(adjacency_matrix(g) @ y - y)) <= tol)
+    return bool(np.max(np.abs(a @ y - y)) <= tol)
 
 
-def is_agreement_vector(state: OpinionState) -> bool:
-    """Every pair of agents is either disconnected or in consensus."""
+def is_agreement_vector(state: OpinionState, mask: Optional[np.ndarray] = None) -> bool:
+    """Every pair of agents is either disconnected or in consensus.  ``mask``
+    must be the state's proximity mask; it is computed when not given."""
     y = state.opinions
-    return not np.any(proximity_mask(state) & (y[:, None] != y[None, :]))
+    mask = proximity_mask(state) if mask is None else mask
+    return not np.any(mask & (y[:, None] != y[None, :]))
 
 
-def _weak_components(state: OpinionState) -> list:
-    """WCCs of the full proximity digraph, sorted by smallest member."""
-    return [list(w) for w in weak_components(proximity_mask(state))]
+def _weak_components(state: OpinionState, mask: Optional[np.ndarray] = None) -> list:
+    """WCCs of the full proximity digraph, its mask when given, by smallest member."""
+    return [list(w) for w in weak_components(proximity_mask(state) if mask is None else mask)]
 
 
 @dataclass(frozen=True)
@@ -124,17 +139,20 @@ class AgreementSufficiency:
         }
 
 
-def check_agreement_sufficient(state: OpinionState) -> AgreementSufficiency:
+def check_agreement_sufficient(
+    state: OpinionState, mask: Optional[np.ndarray] = None
+) -> AgreementSufficiency:
     """Evaluate both finite-time agreement conditions per WCC.
 
     (i) opinion intervals of any two WCCs are separated by strictly more
     than the largest bound among their agents; (ii) SBC needs m-1 of the m
     agents in a WCC to have bounds larger than the WCC's interval length,
-    SBI needs just one such agent.
+    SBI needs just one such agent.  ``mask`` must be the state's proximity
+    mask; it is computed when not given.
     """
     y = state.opinions
     r = state.bounds
-    wccs = _weak_components(state)
+    wccs = _weak_components(state, mask)
     intervals = [(float(y[m].min()), float(y[m].max())) for m in (np.array(w) for w in wccs)]
     max_bound = [float(r[np.array(w)].max()) for w in wccs]
 
@@ -235,19 +253,20 @@ def _json_float(v: float):
 
 
 def stability_report(state: OpinionState, equilibrium_tol: float = 1e-10) -> StabilityReport:
-    """Full condition evaluation for one opinion state."""
+    """Full condition evaluation for one opinion state.  The state's
+    digraph, classification and averaging matrix are built once, held as an
+    epoch holds them, and every check reads them."""
+    topology = Epoch(0, state)
     eps = equi_topology_distance(state)
-    delta = invariant_equi_topology_distance(state, eps)
-    f = fvct(state)
-    f_state = OpinionState(f, state.bounds, state.kind)
+    f_state = OpinionState(topology.fvct(), state.bounds, state.kind)
     eps_f = equi_topology_distance(f_state)
     delta_f = invariant_equi_topology_distance(f_state, eps_f)
     return StabilityReport(
         epsilon=eps,
-        delta=delta,
-        is_equilibrium=is_equilibrium(state, tol=equilibrium_tol),
-        is_agreement=is_agreement_vector(state),
+        delta=invariant_equi_topology_distance(state, eps, topology.classification),
+        is_equilibrium=is_equilibrium(state, equilibrium_tol, topology.matrix),
+        is_agreement=is_agreement_vector(state, topology.digraph.mask),
         in_et_of_fvct=in_neighborhood(state.opinions, f_state, eps_f),
         in_iet_of_fvct=in_neighborhood(state.opinions, f_state, delta_f),
-        agreement_condition=check_agreement_sufficient(state),
+        agreement_condition=check_agreement_sufficient(state, topology.digraph.mask),
     )

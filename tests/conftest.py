@@ -189,6 +189,30 @@ def reachability_oracle(g):
     return reach
 
 
+def closure_invariant_equi_topology_distance(state, eps):
+    """Per-agent minimum of eps over the column of the closure oracle that
+    marks everyone who can reach the agent."""
+    import math
+
+    from opinion_lab import build_digraph
+
+    reach = reachability_oracle(build_digraph(state))
+    return np.where(reach, np.asarray(eps, dtype=float)[:, None], math.inf).min(axis=0)
+
+
+def closure_weak_components(mask):
+    """WCCs read off the closure oracle of the symmetrised mask (self-loops
+    added), each sorted ascending, in order of smallest member."""
+    from opinion_lab.graph import ProximityDigraph
+
+    n = len(mask)
+    if n == 0:
+        return ()
+    reach = reachability_oracle(ProximityDigraph(mask | mask.T | np.eye(n, dtype=bool)))
+    firsts = [v for v in range(n) if reach[v].argmax() == v]
+    return tuple(tuple(np.flatnonzero(reach[v]).tolist()) for v in firsts)
+
+
 def open_wccs_oracle(g, c):
     """Open WCCs by union-find over every node-level edge between open
     nodes, each sorted ascending, in order of their smallest member."""

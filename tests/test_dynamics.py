@@ -176,15 +176,18 @@ class TestSimulate:
                 assert np.array_equal(reference_step(got.final_state()), got.states[-1])
 
     def test_digraph_built_once_per_epoch(self, monkeypatch):
-        from opinion_lab import dynamics
+        # Counts every digraph constructed, whether build_digraph computes
+        # the mask or the epoch wraps the mask its change test computed.
+        from opinion_lab.graph import ProximityDigraph
 
         calls = []
+        post_init = ProximityDigraph.__post_init__
 
-        def counted(state):
-            calls.append(state)
-            return build_digraph(state)
+        def counted(self):
+            calls.append(self)
+            post_init(self)
 
-        monkeypatch.setattr(dynamics, "build_digraph", counted)
+        monkeypatch.setattr(ProximityDigraph, "__post_init__", counted)
         states = []
         with_opinions = OpinionState.with_opinions
 
@@ -198,6 +201,8 @@ class TestSimulate:
         assert len(traj.topology_epochs) > 1
         assert len(calls) == len(traj.topology_epochs) < traj.times[-1]
         assert len(states) == len(traj.topology_epochs)
+        epoch = traj.final_epoch
+        assert epoch.digraph == build_digraph(epoch.state)
 
     @pytest.mark.parametrize("record_every", [1, 5])
     def test_states_are_one_float_array(self, fig62_state, record_every):

@@ -171,9 +171,9 @@ class TestRunSingle:
 
         calls = []
 
-        def counted(state, eps):
+        def counted(state, eps, classification=None):
             calls.append(state)
-            return invariant_equi_topology_distance(state, eps)
+            return invariant_equi_topology_distance(state, eps, classification)
 
         monkeypatch.setattr(experiment, "invariant_equi_topology_distance", counted)
         cfg = small_config(agent_counts=(30,), runs=2)

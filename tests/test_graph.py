@@ -15,12 +15,16 @@ from opinion_lab import (
     strongly_connected_components,
 )
 from opinion_lab.experiment import draw_state
-from opinion_lab.graph import ProximityDigraph, reachability
+from opinion_lab.graph import ProximityDigraph, weak_components
+from opinion_lab.stability import equi_topology_distance, invariant_equi_topology_distance
 
 from conftest import (
+    closure_invariant_equi_topology_distance,
+    closure_weak_components,
     condensation_oracle,
     digraph_json_oracle,
     digraph_oracle,
+    edge_states,
     epoch_start_states,
     grid_state,
     neighbor_lists,
@@ -220,8 +224,8 @@ class TestScc:
 
 
 class TestMaskTarjan:
-    """Tarjan over mask rows against the tuple Tarjan it replaced: the same
-    SCCs in the same order."""
+    """Path-based SCCs over bitset mask rows against the tuple Tarjan: the
+    same DFS, so the same SCCs in the same order."""
 
     def assert_same_sccs(self, digraphs):
         for g in digraphs:
@@ -253,6 +257,22 @@ class TestMaskTarjan:
             n = int(rng.integers(1, 40))
             mask = (rng.random((n, n)) < rng.uniform(0.0, 0.2)) | np.eye(n, dtype=bool)
             self.assert_same_sccs([ProximityDigraph(mask)])
+
+    def test_denser_random_masks(self):
+        rng = np.random.default_rng(127)
+        for _ in range(300):
+            n = int(rng.integers(1, 80))
+            mask = (rng.random((n, n)) < rng.uniform(0.02, 0.3)) | np.eye(n, dtype=bool)
+            self.assert_same_sccs([ProximityDigraph(mask)])
+
+    @pytest.mark.parametrize("digraph", [complete_digraph, path_digraph])
+    def test_large_path_and_complete_digraphs(self, digraph):
+        g = digraph(300)
+        self.assert_same_sccs([g])
+        # A path's sink, its last node, is emitted first.
+        path = [[v] for v in range(299, -1, -1)]
+        want = [list(range(300))] if digraph is complete_digraph else path
+        assert strongly_connected_components(g) == want
 
     def test_partition_matches_scipy(self):
         csgraph = pytest.importorskip("scipy.sparse.csgraph")
@@ -333,6 +353,17 @@ class TestClassify:
             assert c.condensation == condensation_oracle(g, c)
             assert adjacency_matrix(g).tobytes() == reference_adjacency_matrix(g).tobytes()
 
+    def test_open_wccs_of_random_masks_match_node_level_oracle(self):
+        # Digraphs with no interval structure, so open SCCs join in any pattern.
+        rng = np.random.default_rng(37)
+        for _ in range(300):
+            n = int(rng.integers(1, 50))
+            mask = (rng.random((n, n)) < rng.uniform(0.0, 0.15)) | np.eye(n, dtype=bool)
+            g = ProximityDigraph(mask)
+            c = classify(g)
+            assert c.open_wccs == open_wccs_oracle(g, c)
+            assert c.condensation == condensation_oracle(g, c)
+
     def test_every_condensation_wcc_has_a_sink(self):
         rng = np.random.default_rng(29)
         for _ in range(200):
@@ -360,8 +391,8 @@ class TestClassify:
 
 
 def predecessors(g, i):
-    """Nodes with a path to i (i included): column i of the closure."""
-    return set(np.flatnonzero(reachability(g.mask)[:, i]).tolist())
+    """Nodes with a path to i (i included): column i of the closure oracle."""
+    return set(np.flatnonzero(reachability_oracle(g)[:, i]).tolist())
 
 
 class TestPredecessors:
@@ -380,18 +411,32 @@ class TestPredecessors:
         for i in range(4):
             assert predecessors(g, i) == {0, 1, 2, 3}
 
-    def test_matches_reachability_oracle(self):
+    def test_delta_matches_closure_oracle(self):
+        # delta from the condensation equals the closure's bit for bit, also
+        # with infinite bounds, opinions near +-1e300 and duplicate opinions.
         rng = np.random.default_rng(31)
-        for _ in range(100):
-            state = random_state(rng)
-            g = build_digraph(state)
-            assert np.array_equal(reachability(g.mask), reachability_oracle(g))
+        states = [random_state(rng, max_n=40, bounds_hi=0.2) for _ in range(100)]
+        states.extend(grid_state(rng) for _ in range(100))
+        states.extend(edge_states(rng))
+        states.extend(epoch_start_states(rng, runs=5))
+        for state in states:
+            eps = equi_topology_distance(state)
+            want = closure_invariant_equi_topology_distance(state, eps)
+            got = invariant_equi_topology_distance(state, eps)
+            assert got.tobytes() == want.tobytes()
+            c = classify(build_digraph(state))
+            assert invariant_equi_topology_distance(state, eps, c).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("digraph", [complete_digraph, path_digraph])
-    def test_large_closure_matches_oracle(self, digraph):
-        g = digraph(300)
-        reach = reachability(g.mask)
-        assert reach.dtype == bool
-        assert np.array_equal(reach, reachability_oracle(g))
-        expected = np.ones((300, 300), dtype=bool)
-        assert np.array_equal(reach, expected if digraph is complete_digraph else np.triu(expected))
+    def test_weak_components_match_closure_oracle(self, digraph):
+        mask = digraph(300).mask
+        assert weak_components(mask) == closure_weak_components(mask)
+        assert weak_components(mask) == (tuple(range(300)),)
+        assert weak_components(np.eye(300, dtype=bool)) == tuple((v,) for v in range(300))
+
+    def test_weak_components_of_random_masks_match_closure_oracle(self):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            n = int(rng.integers(0, 50))
+            mask = rng.random((n, n)) < rng.uniform(0.0, 0.1)
+            assert weak_components(mask) == closure_weak_components(mask)

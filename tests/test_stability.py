@@ -314,7 +314,9 @@ class TestLimitEquilibrium:
             state = random_state(rng, max_n=10)
             traj = simulate(state, max_steps=int(rng.integers(1, 60)), fixed_tol=(0.0, 1e-3)[k % 2])
             cases.append((traj, fvct(traj.final_state())))
-        monkeypatch.setattr(stability, "fvct", None)
+        # Take away stability's own ways to classify a state.
+        monkeypatch.setattr(stability, "classify", None)
+        monkeypatch.setattr(stability, "Epoch", None)
         for traj, want in cases:
             got = check_limit_equilibrium(traj, residual_tol=math.inf).x_infinity
             assert got.tobytes() == want.tobytes()
@@ -422,6 +424,57 @@ class TestStabilityReport:
     def test_single_agent_inf_serializes(self):
         report = stability_report(OpinionState([0.2], [0.1]))
         assert report.to_json()["epsilon"] == ["inf"]
+
+    def test_each_state_analysed_once(self, monkeypatch):
+        # The state and its fvct each get one digraph, one classification
+        # and one distance matrix for eps plus one for the mask; the report
+        # equals the checks run one by one from the state.
+        import sys
+
+        from opinion_lab import graph
+
+        states = list(edge_states(np.random.default_rng(211)))
+        wants = []
+        for state in states:
+            eps = equi_topology_distance(state)
+            f_state = OpinionState(fvct(state), state.bounds, state.kind)
+            eps_f = equi_topology_distance(f_state)
+            wants.append((
+                eps.tobytes(),
+                invariant_equi_topology_distance(state, eps).tobytes(),
+                is_equilibrium(state, tol=1e-10),
+                is_agreement_vector(state),
+                in_neighborhood(state.opinions, f_state, eps_f),
+                in_neighborhood(
+                    state.opinions, f_state, invariant_equi_topology_distance(f_state, eps_f)
+                ),
+                check_agreement_sufficient(state),
+            ))
+
+        counts = {}
+        for fn in (graph.build_digraph, graph.classify, graph._distances):
+            def counted(*args, _fn=fn):
+                counts[_fn.__name__] += 1
+                return _fn(*args)
+
+            for name, module in list(sys.modules.items()):
+                if name.startswith("opinion_lab") and getattr(module, fn.__name__, None) is fn:
+                    monkeypatch.setattr(module, fn.__name__, counted)
+        for state, want in zip(states, wants):
+            counts.update(build_digraph=0, classify=0, _distances=0)
+            r = stability_report(state)
+            assert counts["build_digraph"] <= 2 and counts["classify"] <= 2
+            assert counts["_distances"] <= 4
+            got = (
+                r.epsilon.tobytes(),
+                r.delta.tobytes(),
+                r.is_equilibrium,
+                r.is_agreement,
+                r.in_et_of_fvct,
+                r.in_iet_of_fvct,
+                r.agreement_condition,
+            )
+            assert got == want
 
 
 class TestExtremeMagnitudes:
