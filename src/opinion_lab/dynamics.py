@@ -22,6 +22,7 @@ from opinion_lab.graph import (
     _neighbor_mask,
     build_digraph,
     classify,
+    proximity_mask,
 )
 from opinion_lab.matrix import adjacency_matrix, canonical_decomposition, fvct_canonical
 from opinion_lab.state import Model, OpinionState
@@ -121,9 +122,13 @@ class Epoch:
     # A state of the epoch and the box around it that keeps its mask.
     _anchor: Optional[np.ndarray] = field(default=None, repr=False)
     _radius: Optional[np.ndarray] = field(default=None, repr=False)
+    # An epoch of the same mask whose digraph, matrix and classification it reads.
+    _twin: Optional[Epoch] = field(default=None, repr=False)
 
     @cached_property
     def digraph(self) -> ProximityDigraph:
+        if self._twin is not None:
+            return self._twin.digraph
         return build_digraph(self.state) if self._mask is None else ProximityDigraph(self._mask)
 
     @cached_property
@@ -132,11 +137,11 @@ class Epoch:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return adjacency_matrix(self.digraph)
+        return adjacency_matrix(self.digraph) if self._twin is None else self._twin.matrix
 
     @cached_property
     def classification(self):
-        return classify(self.digraph)
+        return classify(self.digraph) if self._twin is None else self._twin.classification
 
     @cached_property
     def decomposition(self):
@@ -148,6 +153,17 @@ class Epoch:
         if self._limit is None:
             self._limit = fvct_canonical(self.decomposition, self.state.opinions)
         return self._limit
+
+    def at(self, opinions) -> Epoch:
+        """The epoch of ``opinions`` under this epoch's bounds and model, from
+        the same step and with its mask computed once.  If the mask is this
+        epoch's, the new one reads this one's digraph, matrix and
+        classification.  This epoch's anchor stays where it is."""
+        state = self.state.with_opinions(opinions)
+        mask = proximity_mask(state)
+        if (mask != self.digraph.mask).any():
+            return Epoch(self.start, state, mask)
+        return Epoch(self.start, state, _twin=self)
 
 
 # The box |x_i - a_i| < rho_i around an anchor a keeps a's proximity mask.

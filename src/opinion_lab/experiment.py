@@ -13,6 +13,7 @@ import hashlib
 import json
 import logging
 import math
+import operator
 import os
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -20,7 +21,6 @@ from typing import Optional
 import numpy as np
 
 from opinion_lab.dynamics import Termination, simulate
-from opinion_lab.graph import proximity_mask
 from opinion_lab.stability import (
     equi_topology_distance,
     in_neighborhood,
@@ -31,6 +31,17 @@ from opinion_lab.state import Model, OpinionState
 log = logging.getLogger(__name__)
 
 _MASK64 = (1 << 64) - 1
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int; bools and non-integral numbers are
+    rejected, numpy integers accepted."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -49,11 +60,18 @@ class ExperimentConfig:
         object.__setattr__(
             self, "models", tuple(Model(m) for m in self.models)
         )
-        object.__setattr__(self, "agent_counts", tuple(int(n) for n in self.agent_counts))
+        for name in ("runs", "max_steps", "check_every", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        object.__setattr__(
+            self, "agent_counts", tuple(_integer("agent_counts", n) for n in self.agent_counts)
+        )
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if not self.agent_counts or any(n < 1 for n in self.agent_counts):
             raise ValueError("agent_counts must be positive")
+        for name in ("opinion_range", "bounds_range"):
+            if not all(map(math.isfinite, getattr(self, name))):
+                raise ValueError(f"{name} must have finite ends")
         lo, hi = self.opinion_range
         if not lo < hi:
             raise ValueError("opinion_range must be non-degenerate")
@@ -125,7 +143,7 @@ def draw_state(
         while np.any(r <= 0.0):
             r[r <= 0.0] = rng.uniform(blo, bhi, int(np.sum(r <= 0.0)))
         state = OpinionState(y, r, model)
-        if n == 1 or equi_topology_distance(state).min() > 0.0:
+        if equi_topology_distance(state).min() > 0.0:
             return state
         log.warning(
             "boundary draw (min equi-topology distance = 0) for %s n=%d run=%d; redrawing",
@@ -160,18 +178,16 @@ def run_single(
         limit_tol=cfg.limit_tol,
     )
     epoch = traj.final_epoch
-    f_state = state.with_opinions(epoch.fvct())
     # The limit usually keeps the final epoch's digraph and classification.
-    same = np.array_equal(proximity_mask(f_state), epoch.digraph.mask)
-    c = epoch.classification if same else None
-    delta = invariant_equi_topology_distance(f_state, equi_topology_distance(f_state), c)
+    limit = epoch.at(epoch.fvct())
+    delta = invariant_equi_topology_distance(limit, equi_topology_distance(limit.state))
     # A tolerance stop checks its final step; a fixed or max_steps stop
     # records one step past its last check.
     stop = traj.times[-1] + (traj.termination is Termination.TOLERANCE_REACHED)
     tau = None
     x = epoch.state.opinions
     for t in range(epoch.start, stop):
-        if t % cfg.check_every == 0 and in_neighborhood(x, f_state, delta):
+        if t % cfg.check_every == 0 and in_neighborhood(x, limit.state, delta):
             tau = t
             break
         x = epoch.matrix @ x

@@ -10,17 +10,14 @@ from typing import Optional
 import numpy as np
 
 from opinion_lab.dynamics import Epoch, Termination, Trajectory
-from opinion_lab.graph import (
-    Classification,
-    _distances,
-    _equi_topology_radius,
-    build_digraph,
-    classify,
-    proximity_mask,
-    weak_components,
-)
-from opinion_lab.matrix import adjacency_matrix, fvct_canonical
+from opinion_lab.graph import _distances, _equi_topology_radius, weak_components
+from opinion_lab.matrix import fvct_canonical
 from opinion_lab.state import Model, OpinionState
+
+
+def _as_epoch(state: OpinionState | Epoch) -> Epoch:
+    """``state`` itself when it is an ``Epoch``, else the ``OpinionState``'s epoch."""
+    return state if isinstance(state, Epoch) else Epoch(0, state)
 
 
 def equi_topology_distance(state: OpinionState) -> np.ndarray:
@@ -34,16 +31,14 @@ def equi_topology_distance(state: OpinionState) -> np.ndarray:
     return _equi_topology_radius(_distances(state.opinions), state.bounds)
 
 
-def invariant_equi_topology_distance(
-    state: OpinionState, eps: np.ndarray, classification: Optional[Classification] = None
-) -> np.ndarray:
+def invariant_equi_topology_distance(state: OpinionState | Epoch, eps: np.ndarray) -> np.ndarray:
     """Per-agent minimum of eps over its digraph predecessors (self
-    included), in one pass over the condensation of ``classification``,
-    which must classify ``state``'s digraph and is computed when not given.
-    The SCCs are in reverse topological order, so walking them from the last
-    pushes each SCC's exact minimum to its successors after all of its
-    predecessors have pushed theirs."""
-    c = classify(build_digraph(state)) if classification is None else classification
+    included), in one pass over the condensation of the classification of
+    ``state``, an ``OpinionState`` or its ``Epoch``.  The SCCs are in
+    reverse topological order, so walking them from the last pushes each
+    SCC's exact minimum to its successors after all of its predecessors
+    have pushed theirs."""
+    c = _as_epoch(state).classification
     scc_of = np.array(c.scc_of)
     best = np.full(len(c.sccs), math.inf)
     np.minimum.at(best, scc_of, np.asarray(eps, dtype=float))
@@ -74,32 +69,32 @@ def in_neighborhood(y: np.ndarray, z_state: OpinionState, radii: np.ndarray) -> 
 
 def check_equal_topology(y: np.ndarray, z_state: OpinionState) -> bool:
     """Exact comparison of the proximity masks at y and at z."""
-    return bool(np.array_equal(proximity_mask(z_state.with_opinions(y)), proximity_mask(z_state)))
+    z = Epoch(0, z_state)
+    return z.at(y).digraph is z.digraph
 
 
-def is_equilibrium(
-    state: OpinionState, tol: float = 0.0, matrix: Optional[np.ndarray] = None
-) -> bool:
-    """Fixed point of the averaging map within tol (inf-norm).  ``matrix``
-    must be the state's averaging matrix; it is built when not given."""
+def is_equilibrium(state: OpinionState | Epoch, tol: float = 0.0) -> bool:
+    """Fixed point of the averaging map within tol (inf-norm), read from the
+    averaging matrix of ``state``, an ``OpinionState`` or its ``Epoch``."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    a = adjacency_matrix(build_digraph(state)) if matrix is None else matrix
-    y = state.opinions
-    return bool(np.max(np.abs(a @ y - y)) <= tol)
+    epoch = _as_epoch(state)
+    y = epoch.state.opinions
+    return bool(np.max(np.abs(epoch.matrix @ y - y)) <= tol)
 
 
-def is_agreement_vector(state: OpinionState, mask: Optional[np.ndarray] = None) -> bool:
-    """Every pair of agents is either disconnected or in consensus.  ``mask``
-    must be the state's proximity mask; it is computed when not given."""
-    y = state.opinions
-    mask = proximity_mask(state) if mask is None else mask
-    return not np.any(mask & (y[:, None] != y[None, :]))
+def is_agreement_vector(state: OpinionState | Epoch) -> bool:
+    """Every pair of agents of ``state``, an ``OpinionState`` or its
+    ``Epoch``, is either disconnected or in consensus."""
+    epoch = _as_epoch(state)
+    y = epoch.state.opinions
+    return not np.any(epoch.digraph.mask & (y[:, None] != y[None, :]))
 
 
-def _weak_components(state: OpinionState, mask: Optional[np.ndarray] = None) -> list:
-    """WCCs of the full proximity digraph, its mask when given, by smallest member."""
-    return [list(w) for w in weak_components(proximity_mask(state) if mask is None else mask)]
+def _weak_components(state: OpinionState | Epoch) -> list:
+    """WCCs of the full proximity digraph of ``state``, an ``OpinionState``
+    or its ``Epoch``, by smallest member."""
+    return [list(w) for w in weak_components(_as_epoch(state).digraph.mask)]
 
 
 @dataclass(frozen=True)
@@ -139,43 +134,33 @@ class AgreementSufficiency:
         }
 
 
-def check_agreement_sufficient(
-    state: OpinionState, mask: Optional[np.ndarray] = None
-) -> AgreementSufficiency:
-    """Evaluate both finite-time agreement conditions per WCC.
+def check_agreement_sufficient(state: OpinionState | Epoch) -> AgreementSufficiency:
+    """Evaluate both finite-time agreement conditions per WCC of ``state``,
+    an ``OpinionState`` or its ``Epoch``.
 
     (i) opinion intervals of any two WCCs are separated by strictly more
     than the largest bound among their agents; (ii) SBC needs m-1 of the m
     agents in a WCC to have bounds larger than the WCC's interval length,
-    SBI needs just one such agent.  ``mask`` must be the state's proximity
-    mask; it is computed when not given.
+    SBI needs just one such agent.
     """
-    y = state.opinions
-    r = state.bounds
-    wccs = _weak_components(state, mask)
+    epoch = _as_epoch(state)
+    y, r = epoch.state.opinions, epoch.state.bounds
+    wccs = _weak_components(epoch)
     intervals = [(float(y[m].min()), float(y[m].max())) for m in (np.array(w) for w in wccs)]
     max_bound = [float(r[np.array(w)].max()) for w in wccs]
 
     separated = [True] * len(wccs)
     for a in range(len(wccs)):
         for b in range(a + 1, len(wccs)):
-            lo_a, hi_a = intervals[a]
-            lo_b, hi_b = intervals[b]
-            gap = max(lo_b - hi_a, lo_a - hi_b)
-            if gap <= max(max_bound[a], max_bound[b]):
+            (lo_a, hi_a), (lo_b, hi_b) = intervals[a], intervals[b]
+            if max(lo_b - hi_a, lo_a - hi_b) <= max(max_bound[a], max_bound[b]):
                 separated[a] = separated[b] = False
 
     verdicts = []
     for w, (lo, hi), sep in zip(wccs, intervals, separated):
-        length = hi - lo
-        big = sum(1 for i in w if r[i] > length)
-        if state.kind is Model.SBC:
-            ok = big >= len(w) - 1
-        else:
-            ok = big >= 1
-        verdicts.append(
-            WccVerdict(tuple(w), (lo, hi), sep, ok)
-        )
+        big = sum(1 for i in w if r[i] > hi - lo)
+        needed = len(w) - 1 if epoch.state.kind is Model.SBC else 1
+        verdicts.append(WccVerdict(tuple(w), (lo, hi), sep, big >= needed))
     return AgreementSufficiency(
         per_wcc=tuple(verdicts),
         separation_ok=all(v.separated for v in verdicts),
@@ -211,15 +196,14 @@ def check_limit_equilibrium(
                 f"trajectory not converged: residual {residual:.3e} "
                 f"exceeds {residual_tol:.3e}"
             )
-    inf_state = OpinionState(x_inf, traj.bounds, traj.kind)
-    eps = equi_topology_distance(inf_state)
-    min_eps = float(eps.min())
+    limit = epoch.at(x_inf)
+    min_eps = float(equi_topology_distance(limit.state).min())
     if min_eps <= 0.0:
         return LimitEquilibriumVerdict(x_inf, min_eps, False, None, None)
 
     # Every recorded state of the final epoch has the epoch's mask.
-    topo_ok = np.array_equal(epoch.digraph.mask, proximity_mask(inf_state))
-    eq_ok = is_equilibrium(inf_state, tol=equilibrium_tol)
+    topo_ok = limit.digraph is epoch.digraph
+    eq_ok = is_equilibrium(limit, tol=equilibrium_tol)
     return LimitEquilibriumVerdict(x_inf, min_eps, True, topo_ok, eq_ok)
 
 
@@ -253,20 +237,21 @@ def _json_float(v: float):
 
 
 def stability_report(state: OpinionState, equilibrium_tol: float = 1e-10) -> StabilityReport:
-    """Full condition evaluation for one opinion state.  The state's
-    digraph, classification and averaging matrix are built once, held as an
-    epoch holds them, and every check reads them."""
+    """Full condition evaluation for one opinion state.  The state's epoch
+    and its fvct's (which shares the state's topology when it keeps the
+    mask) hold the digraphs, classifications and averaging matrices, and
+    every check reads one of the two."""
     topology = Epoch(0, state)
+    limit = topology.at(topology.fvct())
     eps = equi_topology_distance(state)
-    f_state = OpinionState(topology.fvct(), state.bounds, state.kind)
-    eps_f = equi_topology_distance(f_state)
-    delta_f = invariant_equi_topology_distance(f_state, eps_f)
+    eps_f = equi_topology_distance(limit.state)
+    delta_f = invariant_equi_topology_distance(limit, eps_f)
     return StabilityReport(
         epsilon=eps,
-        delta=invariant_equi_topology_distance(state, eps, topology.classification),
-        is_equilibrium=is_equilibrium(state, equilibrium_tol, topology.matrix),
-        is_agreement=is_agreement_vector(state, topology.digraph.mask),
-        in_et_of_fvct=in_neighborhood(state.opinions, f_state, eps_f),
-        in_iet_of_fvct=in_neighborhood(state.opinions, f_state, delta_f),
-        agreement_condition=check_agreement_sufficient(state, topology.digraph.mask),
+        delta=invariant_equi_topology_distance(topology, eps),
+        is_equilibrium=is_equilibrium(topology, equilibrium_tol),
+        is_agreement=is_agreement_vector(topology),
+        in_et_of_fvct=in_neighborhood(state.opinions, limit.state, eps_f),
+        in_iet_of_fvct=in_neighborhood(state.opinions, limit.state, delta_f),
+        agreement_condition=check_agreement_sufficient(topology),
     )

@@ -473,6 +473,26 @@ class TestExperimentCommand:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            {"runs": 2.5},
+            {"seed": 1.5},
+            {"max_steps": 10.5},
+            {"check_every": True},
+            {"agent_counts": [2.7]},
+            {"opinion_range": [0, 1e309]},
+        ],
+    )
+    def test_malformed_config_is_input_error(self, tmp_path, capsys, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"agent_counts": [3], "runs": 2, **field}))
+        rc = main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestExitCodes:
     def test_missing_state_file(self, tmp_path, capsys):

@@ -417,6 +417,58 @@ class TestMaskEvaluations:
         assert traj.final_epoch._anchor is None
 
 
+class TestEpochAt:
+    """``Epoch.at`` gives the epoch of other opinions under the same bounds,
+    sharing the topology exactly when the mask is kept."""
+
+    @staticmethod
+    def epochs(rng):
+        for state in edge_states(rng):
+            yield Epoch(0, state)
+        for state in epoch_start_states(rng, runs=3):
+            yield Epoch(0, state)
+        # Final epochs of runs, most with an anchor box.
+        for k in range(20):
+            state = random_state(rng, max_n=20)
+            yield simulate(state, max_steps=int(rng.integers(1, 200)), limit_tol=0.0).final_epoch
+
+    @staticmethod
+    def points(rng, epoch):
+        y = epoch.state.opinions
+        yield y
+        yield epoch.fvct()
+        yield y + rng.uniform(-1e-9, 1e-9, len(y)) * np.abs(y).max()
+        yield rng.permutation(y)
+        yield rng.uniform(y.min(), y.max(), len(y))
+        if epoch._anchor is not None:
+            yield epoch._anchor + 0.5 * rng.uniform(-1.0, 1.0, len(y)) * epoch._radius
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_at_shares_the_topology_iff_the_mask_is_kept(self):
+        from opinion_lab.graph import proximity_mask
+
+        rng = np.random.default_rng(223)
+        kept = changed = anchored = 0
+        for epoch in self.epochs(rng):
+            anchor, radius = epoch._anchor, epoch._radius
+            before = None if anchor is None else (anchor.tobytes(), radius.tobytes())
+            anchored += anchor is not None
+            for y in self.points(rng, epoch):
+                other = epoch.state.with_opinions(y)
+                got = epoch.at(y)
+                want = proximity_mask(other)
+                assert np.array_equal(got.digraph.mask, want)
+                same = np.array_equal(want, epoch.digraph.mask)
+                kept, changed = kept + same, changed + (not same)
+                for name in ("digraph", "classification", "matrix"):
+                    assert (getattr(got, name) is getattr(epoch, name)) == same
+                assert got.fvct().tobytes() == fvct(other).tobytes()
+                assert epoch._anchor is anchor and epoch._radius is radius
+                if anchor is not None:
+                    assert (anchor.tobytes(), radius.tobytes()) == before
+        assert kept > 300 and changed > 200 and anchored > 10
+
+
 class TestPerStepFactor:
     def test_open_agent_factor_approaches_one_third(self, fig41_state):
         traj = simulate(fig41_state, max_steps=200)

@@ -63,6 +63,28 @@ class TestConfig:
         for limit_tol in (math.nan, -1e-12, math.inf):
             with pytest.raises(ValueError, match="limit_tol"):
                 ExperimentConfig(agent_counts=(5,), limit_tol=limit_tol)
+        # Counts and the seed are integers: no bools, no fractions, no floats.
+        for name in ("runs", "max_steps", "check_every", "seed"):
+            for bad in (2.5, 3.0, True, np.float64(2.0), "3"):
+                with pytest.raises(ValueError, match=name):
+                    ExperimentConfig(agent_counts=(5,), **{name: bad})
+        for bad in (2.7, 4.0, False, np.bool_(True)):
+            with pytest.raises(ValueError, match="agent_counts"):
+                ExperimentConfig(agent_counts=(5, bad))
+        for name in ("opinion_range", "bounds_range"):
+            for bad in ((0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)):
+                with pytest.raises(ValueError, match=name):
+                    ExperimentConfig(agent_counts=(5,), **{name: bad})
+
+    def test_numpy_integers_pass_as_python_ints(self):
+        cfg = ExperimentConfig(
+            agent_counts=np.array([3, 6]), runs=np.int32(2), max_steps=np.int64(50),
+            check_every=np.uint8(3), seed=np.int64(-7),
+        )
+        assert (cfg.agent_counts, cfg.runs, cfg.max_steps, cfg.check_every, cfg.seed) == (
+            (3, 6), 2, 50, 3, -7
+        )
+        assert all(type(v) is int for v in (*cfg.agent_counts, cfg.runs, cfg.seed))
 
     def test_from_json_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -171,9 +193,9 @@ class TestRunSingle:
 
         calls = []
 
-        def counted(state, eps, classification=None):
+        def counted(state, eps):
             calls.append(state)
-            return invariant_equi_topology_distance(state, eps, classification)
+            return invariant_equi_topology_distance(state, eps)
 
         monkeypatch.setattr(experiment, "invariant_equi_topology_distance", counted)
         cfg = small_config(agent_counts=(30,), runs=2)

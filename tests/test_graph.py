@@ -14,6 +14,7 @@ from opinion_lab import (
     simulate,
     strongly_connected_components,
 )
+from opinion_lab.dynamics import Epoch
 from opinion_lab.experiment import draw_state
 from opinion_lab.graph import ProximityDigraph, weak_components
 from opinion_lab.stability import equi_topology_distance, invariant_equi_topology_distance
@@ -424,8 +425,8 @@ class TestPredecessors:
             want = closure_invariant_equi_topology_distance(state, eps)
             got = invariant_equi_topology_distance(state, eps)
             assert got.tobytes() == want.tobytes()
-            c = classify(build_digraph(state))
-            assert invariant_equi_topology_distance(state, eps, c).tobytes() == want.tobytes()
+            epoch = Epoch(0, state)
+            assert invariant_equi_topology_distance(epoch, eps).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("digraph", [complete_digraph, path_digraph])
     def test_weak_components_match_closure_oracle(self, digraph):

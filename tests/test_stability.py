@@ -33,6 +33,23 @@ from conftest import (
 )
 
 
+def count_calls(monkeypatch, *fns):
+    """Count the calls of each of ``fns`` through every opinion_lab module
+    that binds it by name; returns the counts keyed by function name."""
+    import sys
+
+    counts = dict.fromkeys((fn.__name__ for fn in fns), 0)
+    for fn in fns:
+        def counted(*args, _fn=fn):
+            counts[_fn.__name__] += 1
+            return _fn(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("opinion_lab") and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted)
+    return counts
+
+
 def sample_in_neighborhood(rng, z, radii, scale=1.0):
     """Random vector inside the (strict) box of the given radii around z."""
     y = np.array(z, dtype=float)
@@ -305,21 +322,25 @@ class TestLimitEquilibrium:
 
     def test_limit_from_the_final_epoch(self, monkeypatch):
         # The final epoch has the final state's mask, so its decomposition
-        # gives fvct(final) bit for bit, with no second classification.
-        from opinion_lab import stability
+        # gives fvct(final) bit for bit, with no second classification and
+        # no second digraph.  Each epoch is classified before counting, as
+        # a tolerance stop would have done.
+        from opinion_lab import graph
 
         rng = np.random.default_rng(197)
         cases = []
         for k in range(60):
             state = random_state(rng, max_n=10)
             traj = simulate(state, max_steps=int(rng.integers(1, 60)), fixed_tol=(0.0, 1e-3)[k % 2])
+            traj.final_epoch.decomposition
             cases.append((traj, fvct(traj.final_state())))
-        # Take away stability's own ways to classify a state.
-        monkeypatch.setattr(stability, "classify", None)
-        monkeypatch.setattr(stability, "Epoch", None)
+        counts = count_calls(monkeypatch, graph.classify, graph.build_digraph, graph._distances)
         for traj, want in cases:
+            counts.update(classify=0, build_digraph=0, _distances=0)
             got = check_limit_equilibrium(traj, residual_tol=math.inf).x_infinity
             assert got.tobytes() == want.tobytes()
+            assert counts["classify"] == counts["build_digraph"] == 0
+            assert counts["_distances"] <= 2
 
     def test_finite_time_agreement_premise_holds(self):
         state = OpinionState(
@@ -426,18 +447,18 @@ class TestStabilityReport:
         assert report.to_json()["epsilon"] == ["inf"]
 
     def test_each_state_analysed_once(self, monkeypatch):
-        # The state and its fvct each get one digraph, one classification
-        # and one distance matrix for eps plus one for the mask; the report
-        # equals the checks run one by one from the state.
-        import sys
-
+        # The state and its fvct each get one distance matrix for eps plus
+        # one for the mask, and at most one digraph and one classification
+        # each; an fvct that keeps the state's mask shares the state's.  The
+        # report equals the checks run one by one from the state.
         from opinion_lab import graph
 
         states = list(edge_states(np.random.default_rng(211)))
-        wants = []
+        wants, keeps = [], []
         for state in states:
             eps = equi_topology_distance(state)
             f_state = OpinionState(fvct(state), state.bounds, state.kind)
+            keeps.append(np.array_equal(proximity_mask(f_state), proximity_mask(state)))
             eps_f = equi_topology_distance(f_state)
             wants.append((
                 eps.tobytes(),
@@ -451,20 +472,15 @@ class TestStabilityReport:
                 check_agreement_sufficient(state),
             ))
 
-        counts = {}
-        for fn in (graph.build_digraph, graph.classify, graph._distances):
-            def counted(*args, _fn=fn):
-                counts[_fn.__name__] += 1
-                return _fn(*args)
-
-            for name, module in list(sys.modules.items()):
-                if name.startswith("opinion_lab") and getattr(module, fn.__name__, None) is fn:
-                    monkeypatch.setattr(module, fn.__name__, counted)
-        for state, want in zip(states, wants):
+        assert any(keeps) and not all(keeps)
+        counts = count_calls(monkeypatch, graph.build_digraph, graph.classify, graph._distances)
+        for state, want, keep in zip(states, wants, keeps):
             counts.update(build_digraph=0, classify=0, _distances=0)
             r = stability_report(state)
             assert counts["build_digraph"] <= 2 and counts["classify"] <= 2
             assert counts["_distances"] <= 4
+            if keep:
+                assert counts["build_digraph"] == counts["classify"] == 1
             got = (
                 r.epsilon.tobytes(),
                 r.delta.tobytes(),
