@@ -269,7 +269,8 @@ def simulate(
 
         x_next = epoch.matrix @ x
         moved = float(np.abs(x_next - x).max())
-        fixed = moved <= fixed_tol if fixed_tol > 0.0 else not (x_next != x).any()
+        # Distinct finite doubles never subtract to 0, so moved == 0 iff x' == x.
+        fixed = moved <= fixed_tol
         if fixed:
             fixed_at = t + 1
         if (

@@ -13,6 +13,7 @@ import hashlib
 import json
 import logging
 import math
+import numbers
 import operator
 import os
 from dataclasses import dataclass, fields
@@ -44,6 +45,14 @@ def _integer(name: str, value) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _real(name: str, value):
+    """``value`` unchanged if it is a real number; bools and non-numbers are
+    rejected, numpy floats and integers accepted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     agent_counts: tuple
@@ -70,7 +79,7 @@ class ExperimentConfig:
         if not self.agent_counts or any(n < 1 for n in self.agent_counts):
             raise ValueError("agent_counts must be positive")
         for name in ("opinion_range", "bounds_range"):
-            if not all(map(math.isfinite, getattr(self, name))):
+            if not all(math.isfinite(_real(name, end)) for end in getattr(self, name)):
                 raise ValueError(f"{name} must have finite ends")
         lo, hi = self.opinion_range
         if not lo < hi:
@@ -82,7 +91,7 @@ class ExperimentConfig:
             raise ValueError("check_every must be >= 1")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if not 0.0 <= self.limit_tol < math.inf:
+        if not 0.0 <= _real("limit_tol", self.limit_tol) < math.inf:
             raise ValueError(f"limit_tol must be finite and >= 0, got {self.limit_tol}")
 
     @classmethod

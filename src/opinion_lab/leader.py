@@ -19,10 +19,11 @@ RESIDUAL_FLOOR = 1e-13
 class LeaderAssignment:
     """Per open SCC: its open successor set, spectral radius, and leader.
 
-    All SCC ids index the classification's SCC list.  The successor set
-    includes the SCC itself; the leader is the member with the largest
-    spectral radius, ties resolved toward the SCC itself when it attains
-    the maximum, else toward the SCC with the smallest member index.
+    All SCC ids index the classification's SCC list, and ``open_sccs``
+    ascends.  The successor set includes the SCC itself; the leader is the
+    member with the largest spectral radius, ties resolved toward the SCC
+    itself when it attains the maximum, else toward the SCC with the
+    smallest member index.
     """
 
     open_sccs: tuple
@@ -58,11 +59,11 @@ def leader_assignment(
     for k, sl in d.open_block_slices():
         radii[k] = spectral_radius(d.Theta[sl, sl])
 
-    # SCCs are in reverse topological order, so every successor m of k has
-    # m < k: in ascending order an open m's set is complete before k's, and
-    # a closed or moderate m has no set and adds nothing.
+    # Open SCCs come in ascending id, the reverse topological order, so every
+    # successor m of k has m < k: an open m's set is complete before k's,
+    # and a closed or moderate m has no set and adds nothing.
     successor_sets = {}
-    for k in sorted(d.open_sccs):
+    for k in d.open_sccs:
         reach = {k}
         for m in c.condensation[k]:
             reach.update(successor_sets.get(m, ()))
@@ -77,7 +78,7 @@ def leader_assignment(
             candidates = [m for m in successor_sets[k] if radii[m] == best]
             leaders[k] = min(candidates, key=lambda m: c.sccs[m][0])
     return LeaderAssignment(
-        open_sccs=tuple(d.open_sccs),
+        open_sccs=d.open_sccs,
         successor_sets=successor_sets,
         radii=radii,
         leaders=leaders,

@@ -1,14 +1,15 @@
 """Row-stochastic adjacency matrix, canonical block form, and limit values.
 
 Canonical order is closed-minded blocks, then moderate, then open-minded
-SCCs arranged so the open block is block lower triangular.  Ties break on
-the smallest original node index at every level, so decompositions are
-bit-reproducible.
+SCCs.  The closed and moderate blocks are sinks with no edges between them
+and come in order of their smallest original node index.  The open SCCs come
+in ascending SCC id, the reverse topological order in which the SCC search
+emits them: every condensation edge goes from a later SCC to an earlier one,
+so Theta is block lower triangular.  Decompositions are bit-reproducible.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +29,9 @@ class CanonicalDecomposition:
     with its blocks as views.
 
     ``permutation[k]`` is the original node at canonical position k.
-    ``closed_sccs`` / ``moderate_sccs`` / ``open_sccs`` list SCC indices (into
-    the classification) in canonical block order; sizes follow the same
-    order.
+    ``open_sccs`` lists the open SCC indices (into the classification) in
+    block order, which is ascending; ``closed_sizes`` / ``moderate_sizes`` /
+    ``open_sizes`` give the block sizes in canonical order.
     """
 
     permutation: np.ndarray
@@ -40,8 +41,6 @@ class CanonicalDecomposition:
     Theta: np.ndarray
     ThetaC: np.ndarray
     ThetaM: np.ndarray
-    closed_sccs: tuple
-    moderate_sccs: tuple
     open_sccs: tuple
     closed_sizes: tuple
     moderate_sizes: tuple
@@ -73,63 +72,22 @@ class CanonicalDecomposition:
         return out
 
 
-def _open_block_order(c: Classification) -> list:
-    """Open SCCs, successors first, so Theta comes out lower triangular.
-
-    Kahn's algorithm over the condensation restricted to open SCCs; among
-    the ready components the one with the smallest member index is emitted
-    first.
-    """
-    open_ids = [k for k, cls in enumerate(c.classes) if cls is SccClass.OPEN]
-    open_set = set(open_ids)
-    pending = {
-        k: sum(1 for m in c.condensation[k] if m in open_set) for k in open_ids
-    }
-    rev = {k: [] for k in open_ids}
-    for k in open_ids:
-        for m in c.condensation[k]:
-            if m in open_set:
-                rev[m].append(k)
-    ready = [(c.sccs[k][0], k) for k in open_ids if pending[k] == 0]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        _, k = heapq.heappop(ready)
-        order.append(k)
-        for p in rev[k]:
-            pending[p] -= 1
-            if pending[p] == 0:
-                heapq.heappush(ready, (c.sccs[p][0], p))
-    if len(order) != len(open_ids):  # pragma: no cover - condensation is a DAG
-        raise RuntimeError("cycle detected in condensation")
-    return order
-
-
 def canonical_decomposition(
     a: np.ndarray, c: Classification
 ) -> CanonicalDecomposition:
-    """Permute the adjacency matrix into its canonical block layout."""
-    by_class = {
-        SccClass.CLOSED: [],
-        SccClass.MODERATE: [],
-        SccClass.OPEN: [],
-    }
-    for k, cls in enumerate(c.classes):
-        if cls is not SccClass.OPEN:
-            by_class[cls].append(k)
-    for cls in (SccClass.CLOSED, SccClass.MODERATE):
-        by_class[cls].sort(key=lambda k: c.sccs[k][0])
-    by_class[SccClass.OPEN] = _open_block_order(c)
+    """Permute the adjacency matrix into its canonical block layout.
 
-    perm = []
-    for cls in (SccClass.CLOSED, SccClass.MODERATE, SccClass.OPEN):
-        for k in by_class[cls]:
-            perm.extend(c.sccs[k])
-    perm = np.array(perm, dtype=int)
+    Closed and moderate blocks come in order of smallest member; open SCCs
+    come in ascending SCC id, the search's reverse topological order.
+    """
+    blocks = {cls: [k for k, tag in enumerate(c.classes) if tag is cls] for cls in SccClass}
+    for cls in (SccClass.CLOSED, SccClass.MODERATE):
+        blocks[cls].sort(key=lambda k: c.sccs[k][0])
+    closed, moderate, open_ = (tuple(len(c.sccs[k]) for k in blocks[cls]) for cls in SccClass)
+    perm = np.array([v for cls in SccClass for k in blocks[cls] for v in c.sccs[k]], dtype=int)
 
     abar = a[np.ix_(perm, perm)]
-    nc = sum(len(c.sccs[k]) for k in by_class[SccClass.CLOSED])
-    nm = sum(len(c.sccs[k]) for k in by_class[SccClass.MODERATE])
+    nc, nm = sum(closed), sum(moderate)
     return CanonicalDecomposition(
         permutation=perm,
         matrix=abar,
@@ -138,12 +96,10 @@ def canonical_decomposition(
         Theta=abar[nc + nm :, nc + nm :],
         ThetaC=abar[nc + nm :, :nc],
         ThetaM=abar[nc + nm :, nc : nc + nm],
-        closed_sccs=tuple(by_class[SccClass.CLOSED]),
-        moderate_sccs=tuple(by_class[SccClass.MODERATE]),
-        open_sccs=tuple(by_class[SccClass.OPEN]),
-        closed_sizes=tuple(len(c.sccs[k]) for k in by_class[SccClass.CLOSED]),
-        moderate_sizes=tuple(len(c.sccs[k]) for k in by_class[SccClass.MODERATE]),
-        open_sizes=tuple(len(c.sccs[k]) for k in by_class[SccClass.OPEN]),
+        open_sccs=tuple(blocks[SccClass.OPEN]),
+        closed_sizes=closed,
+        moderate_sizes=moderate,
+        open_sizes=open_,
     )
 
 

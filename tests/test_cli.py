@@ -482,6 +482,10 @@ class TestExperimentCommand:
             {"check_every": True},
             {"agent_counts": [2.7]},
             {"opinion_range": [0, 1e309]},
+            {"limit_tol": True},
+            {"limit_tol": "1e-12"},
+            {"opinion_range": [False, True]},
+            {"bounds_range": [0, True]},
         ],
     )
     def test_malformed_config_is_input_error(self, tmp_path, capsys, field):

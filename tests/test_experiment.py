@@ -72,9 +72,21 @@ class TestConfig:
             with pytest.raises(ValueError, match="agent_counts"):
                 ExperimentConfig(agent_counts=(5, bad))
         for name in ("opinion_range", "bounds_range"):
-            for bad in ((0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)):
+            for bad in (
+                (0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan),
+                (False, True), (0, True), (np.bool_(False), 1.0), (0.0, "1"), (None, 1.0),
+            ):
                 with pytest.raises(ValueError, match=name):
                     ExperimentConfig(agent_counts=(5,), **{name: bad})
+        # The tolerance and the range ends are real numbers: no bools, no strings.
+        for bad in (True, False, np.bool_(True), "1e-12", None):
+            with pytest.raises(ValueError, match="limit_tol"):
+                ExperimentConfig(agent_counts=(5,), limit_tol=bad)
+        cfg = ExperimentConfig(
+            agent_counts=(5,), limit_tol=np.float64(1e-9),
+            opinion_range=(np.float32(-1.0), np.int64(1)), bounds_range=(0, np.float64(0.5)),
+        )
+        assert cfg.limit_tol == 1e-9 and cfg.opinion_range == (-1.0, 1.0)
 
     def test_numpy_integers_pass_as_python_ints(self):
         cfg = ExperimentConfig(

@@ -17,14 +17,24 @@ from opinion_lab import (
     m_star,
     spectral_radius,
 )
+from opinion_lab.leader import leader_assignment
 from opinion_lab.matrix import fvct_canonical, left_perron_vector
 
 from conftest import (
+    edge_states,
+    epoch_start_states,
     matrix_power_radius,
     power_iteration_left_perron_vector,
     power_iteration_spectral_radius,
     random_state,
 )
+
+
+def assert_theta_block_lower_triangular(d):
+    """Every Theta block above the block diagonal is zero."""
+    offsets = np.cumsum([0, *d.open_sizes])
+    for bi in range(len(d.open_sizes)):
+        assert np.all(d.Theta[offsets[bi] : offsets[bi + 1], offsets[bi + 1] :] == 0.0)
 
 
 def decompose(state):
@@ -85,17 +95,34 @@ class TestCanonicalDecomposition:
 
     def test_theta_block_lower_triangular(self):
         rng = np.random.default_rng(5)
-        for _ in range(200):
-            state = random_state(rng)
-            _, d = decompose(state)
-            offsets = np.cumsum([0] + list(d.open_sizes))
-            for bi in range(len(d.open_sizes)):
-                for bj in range(bi + 1, len(d.open_sizes)):
-                    block = d.Theta[
-                        offsets[bi] : offsets[bi + 1],
-                        offsets[bj] : offsets[bj + 1],
-                    ]
-                    assert np.all(block == 0.0)
+        states = [random_state(rng) for _ in range(200)]
+        states.extend(edge_states(rng))
+        states.extend(epoch_start_states(rng, runs=5))
+        for state in states:
+            g = build_digraph(state)
+            c = classify(g)
+            d = canonical_decomposition(adjacency_matrix(g), c)
+            assert d.open_sccs == tuple(k for k, t in enumerate(c.classes) if t is SccClass.OPEN)
+            assert_theta_block_lower_triangular(d)
+
+    def test_open_blocks_in_scc_search_order(self):
+        # Agents 0 -> 2 -> 3 and 1 -> 3, with {3} closed: the open SCCs are
+        # 1 = {2}, 2 = {0} and 3 = {1}.  A topological sort that breaks ties
+        # on the smallest member lays them out as (3, 1, 2); the search's
+        # order is (1, 2, 3).
+        state = OpinionState([0.125, 1.0, 0.5, 0.75], [0.375, 0.25, 0.25, 0.125])
+        g = build_digraph(state)
+        c = classify(g)
+        a = adjacency_matrix(g)
+        d = canonical_decomposition(a, c)
+        assert c.sccs == ((3,), (2,), (0,), (1,))
+        assert d.open_sccs == (1, 2, 3)
+        assert leader_assignment(c, d).open_sccs == (1, 2, 3)
+        assert_theta_block_lower_triangular(d)
+        assert np.array_equal(d.Theta, [[0.5, 0, 0], [0.5, 0.5, 0], [0, 0, 0.5]])
+        np.testing.assert_allclose(
+            fvct(state), np.linalg.matrix_power(a, 10_000) @ state.opinions, rtol=0, atol=1e-15
+        )
 
     def test_closed_blocks_are_complete_consensus(self):
         rng = np.random.default_rng(9)
