@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import logging
 import math
 import numbers
-import operator
 import os
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -34,15 +34,14 @@ log = logging.getLogger(__name__)
 _MASK64 = (1 << 64) - 1
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as a Python int; bools and non-integral numbers are
-    rejected, numpy integers accepted."""
-    if isinstance(value, bool):
+def _integer(name: str, value, least: float) -> int:
+    """``value`` as a Python int of at least ``least``; bools and
+    non-integral numbers are rejected, numpy integers accepted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+    return int(value)
 
 
 def _real(name: str, value):
@@ -69,28 +68,21 @@ class ExperimentConfig:
         object.__setattr__(
             self, "models", tuple(Model(m) for m in self.models)
         )
-        for name in ("runs", "max_steps", "check_every", "seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        object.__setattr__(
-            self, "agent_counts", tuple(_integer("agent_counts", n) for n in self.agent_counts)
-        )
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        if not self.agent_counts or any(n < 1 for n in self.agent_counts):
-            raise ValueError("agent_counts must be positive")
-        for name in ("opinion_range", "bounds_range"):
-            if not all(math.isfinite(_real(name, end)) for end in getattr(self, name)):
-                raise ValueError(f"{name} must have finite ends")
-        lo, hi = self.opinion_range
-        if not lo < hi:
-            raise ValueError("opinion_range must be non-degenerate")
-        blo, bhi = self.bounds_range
-        if blo < 0 or not blo < bhi:
-            raise ValueError("bounds_range must be non-degenerate with lo >= 0")
-        if self.check_every < 1:
-            raise ValueError("check_every must be >= 1")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        integers = (("runs", 1), ("max_steps", 1), ("check_every", 1), ("seed", -math.inf))
+        for name, least in integers:
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
+        counts = tuple(_integer("agent_counts", n, 1) for n in self.agent_counts)
+        if not counts:
+            raise ValueError("agent_counts must not be empty")
+        object.__setattr__(self, "agent_counts", counts)
+        for name, least in (("opinion_range", -math.inf), ("bounds_range", 0.0)):
+            given = getattr(self, name)
+            ends = tuple(given) if np.iterable(given) else (given,)
+            if len(ends) != 2 or not all(math.isfinite(_real(name, end)) for end in ends):
+                raise ValueError(f"{name} must be two finite numbers, got {given!r}")
+            if not least <= ends[0] < ends[1]:
+                raise ValueError(f"{name} must have {least} <= lo < hi, got {given!r}")
+            object.__setattr__(self, name, ends)
         if not 0.0 <= _real("limit_tol", self.limit_tol) < math.inf:
             raise ValueError(f"limit_tol must be finite and >= 0, got {self.limit_tol}")
 
@@ -101,26 +93,45 @@ class ExperimentConfig:
         unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        for key in ("opinion_range", "bounds_range"):
-            if key in raw:
-                raw[key] = tuple(raw[key])
         return cls(**raw)
 
 
 @dataclass(frozen=True)
 class RunRecord:
+    """One campaign run and its ``results.csv`` row, written by ``row()``
+    in ``HEADER`` order: an empty cell where there is no τ or fixed step,
+    ``converged`` as 0/1 and the residual to the final epoch's fvct as
+    ``%.17g``.  A failed run keeps the defaults: no τ, not fixed, not
+    converged, NaN residual."""
+
+    HEADER: ClassVar[tuple] = (
+        "model", "n", "run", "seed", "tau_condition", "fixed_at", "converged", "residual",
+    )
+
     model: Model
     n: int
     run: int
     seed: int
-    tau_condition: Optional[int]
-    fixed_at: Optional[int]
-    converged: bool
-    final_residual: float
+    tau_condition: Optional[int] = None
+    fixed_at: Optional[int] = None
+    converged: bool = False
+    final_residual: float = math.nan
 
     @property
     def coordinates(self) -> tuple:
         return (str(self.model), self.n, self.run)
+
+    def row(self) -> list:
+        return [
+            self.model.value,
+            self.n,
+            self.run,
+            self.seed,
+            "" if self.tau_condition is None else self.tau_condition,
+            "" if self.fixed_at is None else self.fixed_at,
+            int(self.converged),
+            format(self.final_residual, ".17g"),
+        ]
 
 
 def run_seed(base_seed: int, model: Model, n: int, run: int) -> int:
@@ -226,18 +237,8 @@ def run_campaign(cfg: ExperimentConfig) -> list:
                     records.append(run_single(model, n, run, cfg))
                 except Exception:
                     log.exception("run failed: model=%s n=%d run=%d", model, n, run)
-                    records.append(
-                        RunRecord(
-                            model=Model(model),
-                            n=n,
-                            run=run,
-                            seed=run_seed(cfg.seed, model, n, run),
-                            tau_condition=None,
-                            fixed_at=None,
-                            converged=False,
-                            final_residual=float("nan"),
-                        )
-                    )
+                    seed = run_seed(cfg.seed, model, n, run)
+                    records.append(RunRecord(Model(model), n, run, seed))
     records.sort(key=lambda rec: rec.coordinates)
     return records
 
@@ -250,42 +251,17 @@ def emit_results(records, out_dir) -> tuple:
     results_path = os.path.join(out_dir, "results.csv")
     aggregate_path = os.path.join(out_dir, "aggregate.csv")
 
+    records = sorted(records, key=lambda r: r.coordinates)
     try:
         with open(results_path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                [
-                    "model",
-                    "n",
-                    "run",
-                    "seed",
-                    "tau_condition",
-                    "fixed_at",
-                    "converged",
-                    "residual",
-                ]
-            )
-            for rec in sorted(records, key=lambda r: r.coordinates):
-                writer.writerow(
-                    [
-                        rec.model.value,
-                        rec.n,
-                        rec.run,
-                        rec.seed,
-                        "" if rec.tau_condition is None else rec.tau_condition,
-                        "" if rec.fixed_at is None else rec.fixed_at,
-                        int(rec.converged),
-                        format(rec.final_residual, ".17g"),
-                    ]
-                )
-
-        groups: dict = {}
-        for rec in records:
-            groups.setdefault((rec.model.value, rec.n), []).append(rec)
+            writer.writerow(RunRecord.HEADER)
+            writer.writerows(rec.row() for rec in records)
         with open(aggregate_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["model", "n", "runs", "pct_finite", "mean_tau"])
-            for (model, n), recs in sorted(groups.items()):
+            for (model, n), group in itertools.groupby(records, key=lambda r: (r.model.value, r.n)):
+                recs = list(group)
                 finite = sum(1 for r in recs if r.fixed_at is not None)
                 taus = [r.tau_condition for r in recs if r.tau_condition is not None]
                 mean_tau = sum(taus) / len(taus) if taus else float("nan")

@@ -486,6 +486,9 @@ class TestExperimentCommand:
             {"limit_tol": "1e-12"},
             {"opinion_range": [False, True]},
             {"bounds_range": [0, True]},
+            {"opinion_range": [0, 0.5, 1]},
+            {"bounds_range": [0.1]},
+            {"bounds_range": 0.3},
         ],
     )
     def test_malformed_config_is_input_error(self, tmp_path, capsys, field):
@@ -495,6 +498,7 @@ class TestExperimentCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("input error") and "Traceback" not in err
+        assert next(iter(field)) in err
         assert not (tmp_path / "o").exists()
 
 

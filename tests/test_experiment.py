@@ -75,6 +75,8 @@ class TestConfig:
             for bad in (
                 (0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan),
                 (False, True), (0, True), (np.bool_(False), 1.0), (0.0, "1"), (None, 1.0),
+                # A range is exactly two ends.
+                (0.5,), (0.0, 0.5, 1.0), [0.1], 0.3,
             ):
                 with pytest.raises(ValueError, match=name):
                     ExperimentConfig(agent_counts=(5,), **{name: bad})
@@ -248,13 +250,44 @@ class TestCampaign:
         b = run_campaign(cfg)
         assert a == b
 
-    def test_single_thread_matches_pool(self, monkeypatch):
+    def test_records_independent_of_config_order(self):
+        # Seeds derive from the run coordinates and the records are sorted.
         cfg = small_config()
-        monkeypatch.setenv("OPINION_LAB_THREADS", "1")
-        serial = run_campaign(cfg)
-        monkeypatch.setenv("OPINION_LAB_THREADS", "4")
-        pooled = run_campaign(cfg)
-        assert serial == pooled
+        reordered = small_config(models=cfg.models[::-1], agent_counts=cfg.agent_counts[::-1])
+        assert run_campaign(cfg) == run_campaign(reordered)
+
+    def test_failed_run_is_recorded(self, tmp_path, monkeypatch):
+        from opinion_lab import experiment
+
+        cfg = small_config(agent_counts=(1, 5), runs=3, seed=0)
+        want = run_campaign(cfg)
+
+        def failing(model, n, run, cfg):
+            if (model, n, run) == (Model.SBC, 5, 1):
+                raise RuntimeError("forced failure")
+            return run_single(model, n, run, cfg)
+
+        monkeypatch.setattr(experiment, "run_single", failing)
+        got = run_campaign(cfg)
+        failed = [i for i, rec in enumerate(got) if rec.coordinates == ("sbc", 5, 1)]
+        assert len(failed) == 1 and len(got) == len(want)
+        i = failed[0]
+        assert got[:i] + got[i + 1:] == want[:i] + want[i + 1:]
+        # The run had a τ and a fixed step, so dropping it moves the aggregate.
+        assert want[i].tau_condition is not None and want[i].fixed_at is not None
+
+        results_path, aggregate_path = emit_results(got, tmp_path)
+        with open(results_path) as fh:
+            lines = fh.read().splitlines()
+        assert lines[1 + i] == f"sbc,5,1,{run_seed(cfg.seed, Model.SBC, 5, 1)},,,0,nan"
+        with open(aggregate_path) as fh:
+            row = next(r for r in csv.DictReader(fh) if (r["model"], r["n"]) == ("sbc", "5"))
+        others = [rec for rec in want if rec.coordinates in {("sbc", 5, 0), ("sbc", 5, 2)}]
+        taus = [rec.tau_condition for rec in others if rec.tau_condition is not None]
+        assert row["runs"] == "3"
+        finite = sum(rec.fixed_at is not None for rec in others)
+        assert float(row["pct_finite"]) == 100.0 * finite / 3
+        assert float(row["mean_tau"]) == sum(taus) / len(taus)
 
 
 class TestEmitResults:
