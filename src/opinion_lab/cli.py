@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_state_flags(p)
     p.add_argument("--trajectory", default=None, help="trajectory CSV (optional)")
     p.add_argument("--max-steps", dest="max_steps", type=positive_int, default=10_000)
-    p.add_argument("--window", type=int, default=50)
+    p.add_argument("--window", type=positive_int, default=50)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("experiment", help="seeded Monte Carlo campaign")

@@ -22,7 +22,6 @@ from opinion_lab.graph import (
     _neighbor_mask,
     build_digraph,
     classify,
-    proximity_mask,
 )
 from opinion_lab.matrix import adjacency_matrix, canonical_decomposition, fvct_canonical
 from opinion_lab.state import Model, OpinionState
@@ -113,7 +112,7 @@ class Trajectory:
 class Epoch:
     """One topology epoch: from step ``start`` the opinions keep the
     proximity mask of ``state``, the epoch's first state.  The digraph, its
-    label, the averaging matrix and the rest are computed on first use."""
+    label, the averaging matrix, ε and the rest are computed on first use."""
 
     start: int
     state: OpinionState
@@ -124,6 +123,10 @@ class Epoch:
     _radius: Optional[np.ndarray] = field(default=None, repr=False)
     # An epoch of the same mask whose digraph, matrix and classification it reads.
     _twin: Optional[Epoch] = field(default=None, repr=False)
+
+    @cached_property
+    def epsilon(self) -> np.ndarray:
+        return _equi_topology_radius(_distances(self.state.opinions), self.state.bounds)
 
     @cached_property
     def digraph(self) -> ProximityDigraph:
@@ -156,14 +159,16 @@ class Epoch:
 
     def at(self, opinions) -> Epoch:
         """The epoch of ``opinions`` under this epoch's bounds and model, from
-        the same step and with its mask computed once.  If the mask is this
-        epoch's, the new one reads this one's digraph, matrix and
-        classification.  This epoch's anchor stays where it is."""
+        the same step, with its mask and ε read from one distance matrix.
+        If the mask is this epoch's, the new one reads this one's digraph,
+        matrix and classification.  This epoch's anchor stays where it is."""
         state = self.state.with_opinions(opinions)
-        mask = proximity_mask(state)
-        if (mask != self.digraph.mask).any():
-            return Epoch(self.start, state, mask)
-        return Epoch(self.start, state, _twin=self)
+        dist = _distances(state.opinions)
+        mask = _neighbor_mask(dist, state.bounds, state.kind)
+        kept = not (mask != self.digraph.mask).any()
+        at = Epoch(self.start, state, _twin=self) if kept else Epoch(self.start, state, mask)
+        at.epsilon = _equi_topology_radius(dist, state.bounds)
+        return at
 
 
 # The box |x_i - a_i| < rho_i around an anchor a keeps a's proximity mask.

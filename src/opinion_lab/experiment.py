@@ -65,15 +65,16 @@ class ExperimentConfig:
     check_every: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "models", tuple(Model(m) for m in self.models)
-        )
+        for name in ("models", "agent_counts"):
+            given = getattr(self, name)
+            if isinstance(given, (str, dict)) or not np.iterable(given) or not (items := tuple(given)):
+                raise ValueError(f"{name} must be a non-empty list, got {given!r}")
+            object.__setattr__(self, name, items)
+        object.__setattr__(self, "models", tuple(Model(m) for m in self.models))
         integers = (("runs", 1), ("max_steps", 1), ("check_every", 1), ("seed", -math.inf))
         for name, least in integers:
             object.__setattr__(self, name, _integer(name, getattr(self, name), least))
         counts = tuple(_integer("agent_counts", n, 1) for n in self.agent_counts)
-        if not counts:
-            raise ValueError("agent_counts must not be empty")
         object.__setattr__(self, "agent_counts", counts)
         for name, least in (("opinion_range", -math.inf), ("bounds_range", 0.0)):
             given = getattr(self, name)
@@ -90,6 +91,8 @@ class ExperimentConfig:
     def from_json_file(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"config must be a JSON object of fields, got {raw!r}")
         unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
@@ -200,7 +203,7 @@ def run_single(
     epoch = traj.final_epoch
     # The limit usually keeps the final epoch's digraph and classification.
     limit = epoch.at(epoch.fvct())
-    delta = invariant_equi_topology_distance(limit, equi_topology_distance(limit.state))
+    delta = invariant_equi_topology_distance(limit)
     # A tolerance stop checks its final step; a fixed or max_steps stop
     # records one step past its last check.
     stop = traj.times[-1] + (traj.termination is Termination.TOLERANCE_REACHED)

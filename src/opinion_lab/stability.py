@@ -10,9 +10,11 @@ from typing import Optional
 import numpy as np
 
 from opinion_lab.dynamics import Epoch, Termination, Trajectory
-from opinion_lab.graph import _distances, _equi_topology_radius, weak_components
+from opinion_lab.graph import weak_components
 from opinion_lab.matrix import fvct_canonical
 from opinion_lab.state import Model, OpinionState
+
+EQUILIBRIUM_TOL = 1e-10  # the largest max|Ay - y| of a state the checks call an equilibrium
 
 
 def _as_epoch(state: OpinionState | Epoch) -> Epoch:
@@ -20,28 +22,29 @@ def _as_epoch(state: OpinionState | Epoch) -> Epoch:
     return state if isinstance(state, Epoch) else Epoch(0, state)
 
 
-def equi_topology_distance(state: OpinionState) -> np.ndarray:
-    """Half the smallest slack between any pairwise distance and either
-    agent's bound.
+def equi_topology_distance(state: OpinionState | Epoch) -> np.ndarray:
+    """ε: half the smallest slack between any pairwise distance and either
+    agent's bound, as measured once by the ``Epoch`` of ``state``.
 
     With a single agent the minimum runs over an empty set; +inf is
     returned as a sentinel.  A slack against an infinite bound is +inf,
     also where the distance overflowed to inf.
     """
-    return _equi_topology_radius(_distances(state.opinions), state.bounds)
+    return _as_epoch(state).epsilon
 
 
-def invariant_equi_topology_distance(state: OpinionState | Epoch, eps: np.ndarray) -> np.ndarray:
-    """Per-agent minimum of eps over its digraph predecessors (self
-    included), in one pass over the condensation of the classification of
-    ``state``, an ``OpinionState`` or its ``Epoch``.  The SCCs are in
-    reverse topological order, so walking them from the last pushes each
-    SCC's exact minimum to its successors after all of its predecessors
-    have pushed theirs."""
-    c = _as_epoch(state).classification
+def invariant_equi_topology_distance(state: OpinionState | Epoch) -> np.ndarray:
+    """δ: per agent, the minimum of ε over its digraph predecessors (self
+    included), both read from the ``Epoch`` of ``state`` (an
+    ``OpinionState`` or its ``Epoch``), in one pass over the condensation
+    of its classification.  The SCCs are in reverse topological order, so
+    walking them from the last pushes each SCC's exact minimum to its
+    successors after all of its predecessors have pushed theirs."""
+    epoch = _as_epoch(state)
+    c = epoch.classification
     scc_of = np.array(c.scc_of)
     best = np.full(len(c.sccs), math.inf)
-    np.minimum.at(best, scc_of, np.asarray(eps, dtype=float))
+    np.minimum.at(best, scc_of, epoch.epsilon)
     best = best.tolist()
     for k in range(len(best) - 1, -1, -1):
         for m in c.condensation[k]:
@@ -182,11 +185,10 @@ class LimitEquilibriumVerdict:
 def check_limit_equilibrium(
     traj: Trajectory,
     residual_tol: float = 1e-8,
-    equilibrium_tol: float = 1e-10,
 ) -> LimitEquilibriumVerdict:
     """Take the final state's fvct as the limit and, when its minimum
     equi-topology distance is positive, confirm the tail topology matches
-    and the limit is an equilibrium."""
+    and the limit is an equilibrium within ``EQUILIBRIUM_TOL``."""
     final, epoch = traj.final_state(), traj.final_epoch
     x_inf = fvct_canonical(epoch.decomposition, final.opinions)
     if traj.termination is Termination.MAX_STEPS:
@@ -197,13 +199,13 @@ def check_limit_equilibrium(
                 f"exceeds {residual_tol:.3e}"
             )
     limit = epoch.at(x_inf)
-    min_eps = float(equi_topology_distance(limit.state).min())
+    min_eps = float(equi_topology_distance(limit).min())
     if min_eps <= 0.0:
         return LimitEquilibriumVerdict(x_inf, min_eps, False, None, None)
 
     # Every recorded state of the final epoch has the epoch's mask.
     topo_ok = limit.digraph is epoch.digraph
-    eq_ok = is_equilibrium(limit, tol=equilibrium_tol)
+    eq_ok = is_equilibrium(limit, tol=EQUILIBRIUM_TOL)
     return LimitEquilibriumVerdict(x_inf, min_eps, True, topo_ok, eq_ok)
 
 
@@ -236,20 +238,19 @@ def _json_float(v: float):
     return "inf" if math.isinf(v) else float(v)
 
 
-def stability_report(state: OpinionState, equilibrium_tol: float = 1e-10) -> StabilityReport:
+def stability_report(state: OpinionState) -> StabilityReport:
     """Full condition evaluation for one opinion state.  The state's epoch
     and its fvct's (which shares the state's topology when it keeps the
-    mask) hold the digraphs, classifications and averaging matrices, and
+    mask) hold ε, the digraphs, classifications and averaging matrices, and
     every check reads one of the two."""
     topology = Epoch(0, state)
     limit = topology.at(topology.fvct())
-    eps = equi_topology_distance(state)
-    eps_f = equi_topology_distance(limit.state)
-    delta_f = invariant_equi_topology_distance(limit, eps_f)
+    eps_f = equi_topology_distance(limit)
+    delta_f = invariant_equi_topology_distance(limit)
     return StabilityReport(
-        epsilon=eps,
-        delta=invariant_equi_topology_distance(topology, eps),
-        is_equilibrium=is_equilibrium(topology, equilibrium_tol),
+        epsilon=equi_topology_distance(topology),
+        delta=invariant_equi_topology_distance(topology),
+        is_equilibrium=is_equilibrium(topology, EQUILIBRIUM_TOL),
         is_agreement=is_agreement_vector(topology),
         in_et_of_fvct=in_neighborhood(state.opinions, limit.state, eps_f),
         in_iet_of_fvct=in_neighborhood(state.opinions, limit.state, delta_f),

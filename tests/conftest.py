@@ -4,6 +4,23 @@ import pytest
 from opinion_lab import Model, OpinionState
 
 
+def count_calls(monkeypatch, *fns):
+    """Count the calls of each of ``fns`` through every opinion_lab module
+    that binds it by name; returns the counts keyed by function name."""
+    import sys
+
+    counts = dict.fromkeys((fn.__name__ for fn in fns), 0)
+    for fn in fns:
+        def counted(*args, _fn=fn):
+            counts[_fn.__name__] += 1
+            return _fn(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("opinion_lab") and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted)
+    return counts
+
+
 @pytest.fixture
 def fig41_state():
     # 3-agent system: two stubborn extremists and one open middle agent.
@@ -437,7 +454,7 @@ def reference_run_single(model, n, run, cfg):
             a = adjacency_matrix(g)
             f = fvct_canonical(canonical_decomposition(a, classify(g)), x)
             f_state = state.with_opinions(f)
-            delta_f = invariant_equi_topology_distance(f_state, equi_topology_distance(f_state))
+            delta_f = invariant_equi_topology_distance(f_state)
         if tau is None and t % cfg.check_every == 0 and in_neighborhood(x, f_state, delta_f):
             tau = t
         x_next = a @ x

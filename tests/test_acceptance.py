@@ -205,7 +205,7 @@ def produce_artifacts(out_dir):
         if not is_equilibrium(z_state, tol=0.0):
             continue
         eps = equi_topology_distance(z_state)
-        delta = invariant_equi_topology_distance(z_state, eps)
+        delta = invariant_equi_topology_distance(z_state)
         if delta.min() <= 0.0:
             continue
         x0 = z_state.opinions + rng.uniform(-0.5, 0.5, z_state.n) * delta
@@ -433,7 +433,7 @@ def test_criterion_8(acceptance):
             mstar_ok &= bool(np.max(np.abs(ms - ms[0])) < 1e-10)
             offset += size
         eps = equi_topology_distance(state)
-        delta = invariant_equi_topology_distance(state, eps)
+        delta = invariant_equi_topology_distance(state)
         delta_ok &= bool(np.all(delta <= eps + 1e-15))
         if is_agreement_vector(state):
             agree_ok &= bool(eps.min() > 0.0)

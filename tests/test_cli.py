@@ -467,11 +467,15 @@ class TestExperimentCommand:
 
     def test_bad_config_is_input_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"agent_counts": [3], "typo": 1}))
-        rc = main(
-            ["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]
-        )
-        assert rc == 1
+        for config, named in (({"agent_counts": [3], "typo": 1}, "typo"), ([1, 2], "JSON object")):
+            cfg.write_text(json.dumps(config))
+            rc = main(
+                ["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]
+            )
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith("input error") and named in err
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "field",
@@ -489,6 +493,9 @@ class TestExperimentCommand:
             {"opinion_range": [0, 0.5, 1]},
             {"bounds_range": [0.1]},
             {"bounds_range": 0.3},
+            {"agent_counts": 5},
+            {"models": "sbc"},
+            {"models": []},
         ],
     )
     def test_malformed_config_is_input_error(self, tmp_path, capsys, field):
@@ -538,6 +545,7 @@ class TestExitCodes:
             ("simulate", "--max-steps"),
             ("simulate", "--record-every"),
             ("analyze", "--max-steps"),
+            ("analyze", "--window"),
         ):
             rc = main([cmd, "--state", three_agent_json, flag, "0"])
             assert rc == 1

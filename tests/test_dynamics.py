@@ -20,7 +20,7 @@ from opinion_lab import dynamics
 from opinion_lab.cli import load_trajectory_csv
 from opinion_lab.dynamics import Epoch
 from opinion_lab.experiment import draw_state
-from opinion_lab.graph import _distances, _neighbor_mask
+from opinion_lab.graph import _distances, _equi_topology_radius, _neighbor_mask
 from opinion_lab.stability import _weak_components, equi_topology_distance
 
 from conftest import (
@@ -419,7 +419,8 @@ class TestMaskEvaluations:
 
 class TestEpochAt:
     """``Epoch.at`` gives the epoch of other opinions under the same bounds,
-    sharing the topology exactly when the mask is kept."""
+    sharing the topology exactly when the mask is kept, and with its ε
+    measured from the same distance matrix as its mask."""
 
     @staticmethod
     def epochs(rng):
@@ -447,12 +448,17 @@ class TestEpochAt:
     def test_at_shares_the_topology_iff_the_mask_is_kept(self):
         from opinion_lab.graph import proximity_mask
 
+        def two_step(y, r):
+            return _equi_topology_radius(_distances(y), r)
+
         rng = np.random.default_rng(223)
         kept = changed = anchored = 0
         for epoch in self.epochs(rng):
             anchor, radius = epoch._anchor, epoch._radius
             before = None if anchor is None else (anchor.tobytes(), radius.tobytes())
             anchored += anchor is not None
+            r = epoch.state.bounds
+            assert epoch.epsilon.tobytes() == two_step(epoch.state.opinions, r).tobytes()
             for y in self.points(rng, epoch):
                 other = epoch.state.with_opinions(y)
                 got = epoch.at(y)
@@ -463,6 +469,7 @@ class TestEpochAt:
                 for name in ("digraph", "classification", "matrix"):
                     assert (getattr(got, name) is getattr(epoch, name)) == same
                 assert got.fvct().tobytes() == fvct(other).tobytes()
+                assert got.epsilon.tobytes() == two_step(other.opinions, r).tobytes()
                 assert epoch._anchor is anchor and epoch._radius is radius
                 if anchor is not None:
                     assert (anchor.tobytes(), radius.tobytes()) == before

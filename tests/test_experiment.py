@@ -22,7 +22,7 @@ from opinion_lab.stability import (
     invariant_equi_topology_distance,
 )
 
-from conftest import reference_run_single
+from conftest import count_calls, reference_run_single
 
 
 def small_config(**overrides):
@@ -71,6 +71,13 @@ class TestConfig:
         for bad in (2.7, 4.0, False, np.bool_(True)):
             with pytest.raises(ValueError, match="agent_counts"):
                 ExperimentConfig(agent_counts=(5, bad))
+        # The models and the agent counts are non-empty lists.
+        for name, bad in (
+            ("agent_counts", 5), ("agent_counts", "5"), ("models", "sbc"), ("models", Model.SBC),
+            ("models", []), ("models", ()), ("models", 5),
+        ):
+            with pytest.raises(ValueError, match=name):
+                ExperimentConfig(**{"agent_counts": (5,), name: bad})
         for name in ("opinion_range", "bounds_range"):
             for bad in (
                 (0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan),
@@ -176,8 +183,7 @@ class TestRunSingle:
             x = traj.states[k]
             f = fvct(state.with_opinions(x))
             f_state = state.with_opinions(f)
-            eps_f = equi_topology_distance(f_state)
-            delta_f = invariant_equi_topology_distance(f_state, eps_f)
+            delta_f = invariant_equi_topology_distance(f_state)
             assert in_neighborhood(x, f_state, delta_f)
 
     @pytest.mark.parametrize(
@@ -207,9 +213,9 @@ class TestRunSingle:
 
         calls = []
 
-        def counted(state, eps):
+        def counted(state):
             calls.append(state)
-            return invariant_equi_topology_distance(state, eps)
+            return invariant_equi_topology_distance(state)
 
         monkeypatch.setattr(experiment, "invariant_equi_topology_distance", counted)
         cfg = small_config(agent_counts=(30,), runs=2)
@@ -218,6 +224,26 @@ class TestRunSingle:
                 calls.clear()
                 run_single(model, 30, run, cfg)
                 assert len(calls) == 1
+
+    def test_limit_measured_once_per_run(self, monkeypatch):
+        # After the simulation, the limit's mask and eps come from one
+        # distance matrix.
+        from opinion_lab import experiment, graph
+
+        counts = count_calls(monkeypatch, graph._distances)
+
+        def simulated(*args, _simulate=experiment.simulate, **kwargs):
+            traj = _simulate(*args, **kwargs)
+            counts["_distances"] = 0
+            return traj
+
+        monkeypatch.setattr(experiment, "simulate", simulated)
+        cfg = small_config(agent_counts=(1, 30), runs=2)
+        for model in cfg.models:
+            for n in cfg.agent_counts:
+                for run in range(cfg.runs):
+                    run_single(model, n, run, cfg)
+                    assert counts["_distances"] == 1
 
     def test_simulate_reports_the_same_fixed_step(self):
         from opinion_lab import simulate

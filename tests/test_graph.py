@@ -423,10 +423,10 @@ class TestPredecessors:
         for state in states:
             eps = equi_topology_distance(state)
             want = closure_invariant_equi_topology_distance(state, eps)
-            got = invariant_equi_topology_distance(state, eps)
+            got = invariant_equi_topology_distance(state)
             assert got.tobytes() == want.tobytes()
             epoch = Epoch(0, state)
-            assert invariant_equi_topology_distance(epoch, eps).tobytes() == want.tobytes()
+            assert invariant_equi_topology_distance(epoch).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("digraph", [complete_digraph, path_digraph])
     def test_weak_components_match_closure_oracle(self, digraph):

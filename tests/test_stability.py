@@ -24,6 +24,7 @@ from opinion_lab import (
 from opinion_lab.graph import SccClass, proximity_mask
 
 from conftest import (
+    count_calls,
     edge_states,
     grid_state,
     loop_topology_matches_tail,
@@ -31,23 +32,6 @@ from conftest import (
     random_state,
     two_matrix_equi_topology_distance,
 )
-
-
-def count_calls(monkeypatch, *fns):
-    """Count the calls of each of ``fns`` through every opinion_lab module
-    that binds it by name; returns the counts keyed by function name."""
-    import sys
-
-    counts = dict.fromkeys((fn.__name__ for fn in fns), 0)
-    for fn in fns:
-        def counted(*args, _fn=fn):
-            counts[_fn.__name__] += 1
-            return _fn(*args)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("opinion_lab") and getattr(module, fn.__name__, None) is fn:
-                monkeypatch.setattr(module, fn.__name__, counted)
-    return counts
 
 
 def sample_in_neighborhood(rng, z, radii, scale=1.0):
@@ -99,20 +83,18 @@ class TestEquiTopologyDistance:
 class TestInvariantDistance:
     def test_equilibrium_three_agent(self):
         state = OpinionState([0.0, 0.5, 1.0], [0.25, 1.0, 0.25], Model.SBC)
-        eps = equi_topology_distance(state)
-        delta = invariant_equi_topology_distance(state, eps)
+        delta = invariant_equi_topology_distance(state)
         assert np.allclose(delta, [0.125, 0.125, 0.125], atol=1e-15)
 
     def test_boundary_variant_all_zero(self):
         state = OpinionState([0.0, 0.5, 1.0], [0.5, 1.0, 0.25], Model.SBC)
-        eps = equi_topology_distance(state)
-        delta = invariant_equi_topology_distance(state, eps)
+        delta = invariant_equi_topology_distance(state)
         assert np.array_equal(delta, [0.0, 0.0, 0.0])
 
     def test_isolated_agents_delta_equals_eps(self):
         state = OpinionState([0.0, 10.0, 20.0], [0.1, 0.1, 0.1], Model.SBC)
         eps = equi_topology_distance(state)
-        delta = invariant_equi_topology_distance(state, eps)
+        delta = invariant_equi_topology_distance(state)
         assert np.array_equal(delta, eps)
 
     def test_delta_bounded_by_eps(self):
@@ -122,7 +104,7 @@ class TestInvariantDistance:
             if state.n == 1:
                 continue
             eps = equi_topology_distance(state)
-            delta = invariant_equi_topology_distance(state, eps)
+            delta = invariant_equi_topology_distance(state)
             assert np.all(delta <= eps + 1e-15)
 
 
@@ -155,7 +137,7 @@ class TestInNeighborhood:
             if state.n == 1:
                 continue
             eps = equi_topology_distance(state)
-            delta = invariant_equi_topology_distance(state, eps)
+            delta = invariant_equi_topology_distance(state)
             y = sample_in_neighborhood(rng, state.opinions, delta)
             if in_neighborhood(y, state, delta):
                 assert in_neighborhood(y, state, eps)
@@ -323,8 +305,9 @@ class TestLimitEquilibrium:
     def test_limit_from_the_final_epoch(self, monkeypatch):
         # The final epoch has the final state's mask, so its decomposition
         # gives fvct(final) bit for bit, with no second classification and
-        # no second digraph.  Each epoch is classified before counting, as
-        # a tolerance stop would have done.
+        # no second digraph, and the limit's mask and eps come from one
+        # distance matrix.  Each epoch is classified before counting, as a
+        # tolerance stop would have done.
         from opinion_lab import graph
 
         rng = np.random.default_rng(197)
@@ -340,7 +323,7 @@ class TestLimitEquilibrium:
             got = check_limit_equilibrium(traj, residual_tol=math.inf).x_infinity
             assert got.tobytes() == want.tobytes()
             assert counts["classify"] == counts["build_digraph"] == 0
-            assert counts["_distances"] <= 2
+            assert counts["_distances"] == 1
 
     def test_finite_time_agreement_premise_holds(self):
         state = OpinionState(
@@ -407,7 +390,7 @@ class TestConstantTopologyTheorem:
             if not is_equilibrium(z_state, tol=0.0):
                 continue
             eps = equi_topology_distance(z_state)
-            delta = invariant_equi_topology_distance(z_state, eps)
+            delta = invariant_equi_topology_distance(z_state)
             if delta.min() <= 0.0:
                 continue
             checked += 1
@@ -447,10 +430,11 @@ class TestStabilityReport:
         assert report.to_json()["epsilon"] == ["inf"]
 
     def test_each_state_analysed_once(self, monkeypatch):
-        # The state and its fvct each get one distance matrix for eps plus
-        # one for the mask, and at most one digraph and one classification
-        # each; an fvct that keeps the state's mask shares the state's.  The
-        # report equals the checks run one by one from the state.
+        # The state gets one distance matrix for eps and one for its digraph,
+        # its fvct one for both its mask and its eps, and each at most one
+        # digraph and one classification; an fvct that keeps the state's mask
+        # shares the state's.  The report equals the checks run one by one
+        # from the state.
         from opinion_lab import graph
 
         states = list(edge_states(np.random.default_rng(211)))
@@ -462,12 +446,12 @@ class TestStabilityReport:
             eps_f = equi_topology_distance(f_state)
             wants.append((
                 eps.tobytes(),
-                invariant_equi_topology_distance(state, eps).tobytes(),
+                invariant_equi_topology_distance(state).tobytes(),
                 is_equilibrium(state, tol=1e-10),
                 is_agreement_vector(state),
                 in_neighborhood(state.opinions, f_state, eps_f),
                 in_neighborhood(
-                    state.opinions, f_state, invariant_equi_topology_distance(f_state, eps_f)
+                    state.opinions, f_state, invariant_equi_topology_distance(f_state)
                 ),
                 check_agreement_sufficient(state),
             ))
@@ -478,7 +462,7 @@ class TestStabilityReport:
             counts.update(build_digraph=0, classify=0, _distances=0)
             r = stability_report(state)
             assert counts["build_digraph"] <= 2 and counts["classify"] <= 2
-            assert counts["_distances"] <= 4
+            assert counts["_distances"] <= 3
             if keep:
                 assert counts["build_digraph"] == counts["classify"] == 1
             got = (
@@ -511,7 +495,7 @@ class TestExtremeMagnitudes:
         state = OpinionState([-1e308, 1e308, 0.0], [math.inf, 0.1, 0.1], kind)
         assert np.array_equal(proximity_mask(state), np.array(mask, dtype=bool))
         eps = equi_topology_distance(state)
-        delta = invariant_equi_topology_distance(state, eps)
+        delta = invariant_equi_topology_distance(state)
         assert np.array_equal(eps, [5e307] * 3)
         assert np.array_equal(delta, [5e307] * 3)
         assert in_neighborhood(state.opinions, state, delta)
