@@ -12,7 +12,6 @@ import json
 import logging
 import math
 import sys
-from dataclasses import asdict
 from functools import cache
 
 import numpy as np
@@ -168,8 +167,8 @@ def cmd_analyze(args) -> int:
     # The rate check needs its window inside the final topology epoch.
     window = min(args.window, len(traj.times) - traj.tail_index())
     if window >= 10:
-        report["rates"] = [asdict(v) for v in verify_rate_prediction(traj, c, f, la, window=window)]
-    report["directions"] = [asdict(v) for v in verify_direction_prediction(traj, c, f, la)]
+        report["rates"] = [vars(v) for v in verify_rate_prediction(traj, c, f, la, window=window)]
+    report["directions"] = [vars(v) for v in verify_direction_prediction(traj, c, f, la)]
     if len(traj.times) >= 2:
         verdict = pseudo_stable_check(traj, f)
         report["pseudo_stable"] = {
@@ -192,11 +191,16 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def positive_int(text: str) -> int:
+def positive_int(text: str, least: int = 1) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
     return value
+
+
+def rate_window(text: str) -> int:
+    """A rate window: ``verify_rate_prediction`` needs at least 10 steps."""
+    return positive_int(text, 10)
 
 
 def tolerance(text: str) -> float:
@@ -247,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_state_flags(p)
     p.add_argument("--trajectory", default=None, help="trajectory CSV (optional)")
     p.add_argument("--max-steps", dest="max_steps", type=positive_int, default=10_000)
-    p.add_argument("--window", type=positive_int, default=50)
+    p.add_argument("--window", type=rate_window, default=50)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("experiment", help="seeded Monte Carlo campaign")

@@ -10,7 +10,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
@@ -27,17 +27,22 @@ from opinion_lab.matrix import adjacency_matrix, canonical_decomposition, fvct_c
 from opinion_lab.state import Model, OpinionState
 
 
+@cache
+def _label_keys(n: int) -> np.ndarray:
+    z = np.arange(n, dtype=np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
 def digraph_hash(g: ProximityDigraph) -> str:
-    """Stable 64-bit hash of the sorted edge list, as hex: sha256 over n as
-    8 little-endian bytes, then every edge (i, j) as two little-endian
-    uint32, in ascending order."""
-    h = hashlib.sha256(g.n.to_bytes(8, "little"))
-    # Flat indices i n + j come out in ascending (i, j) order.
-    flat = np.flatnonzero(g.mask)
-    edges = np.empty((len(flat), 2), dtype="<u4")
-    np.divmod(flat, g.n, out=(edges[:, 0], edges[:, 1]), casting="unsafe")
-    h.update(edges)
-    return h.hexdigest()[:16]
+    """Label of the mask alone: the first 16 hex digits of sha256 over n and
+    S_0 .. S_{n-1}, each as 8 little-endian bytes, where S_i is the sum mod
+    2**64 of h(j) = splitmix64(j), the first output of SplitMix64 seeded with
+    j, over the edges (i, j).  A sum ignores order, so prefix sums over sorted
+    neighbour ranges give every S_i in O(n).  It replaced a sha256 of the edge list."""
+    sums = g.mask.astype(np.uint64) @ _label_keys(g.n)
+    return hashlib.sha256(g.n.to_bytes(8, "little") + sums.astype("<u8").tobytes()).hexdigest()[:16]
 
 
 class Termination(str, Enum):

@@ -70,6 +70,9 @@ class ExperimentConfig:
             if isinstance(given, (str, dict)) or not np.iterable(given) or not (items := tuple(given)):
                 raise ValueError(f"{name} must be a non-empty list, got {given!r}")
             object.__setattr__(self, name, items)
+        valid = [m.value for m in Model]
+        if any(m not in valid for m in self.models):
+            raise ValueError(f"models must each be one of {valid}, got {list(self.models)!r}")
         object.__setattr__(self, "models", tuple(Model(m) for m in self.models))
         integers = (("runs", 1), ("max_steps", 1), ("check_every", 1), ("seed", -math.inf))
         for name, least in integers:

@@ -26,6 +26,15 @@ def _as_readonly_vector(values, name: str) -> np.ndarray:
     return arr
 
 
+def _opinion_vector(values, n: int) -> np.ndarray:
+    opinions = _as_readonly_vector(values, "opinions")
+    if len(opinions) != n:
+        raise ValueError(f"opinions and bounds must have equal length, got {len(opinions)} and {n}")
+    if not np.all(np.isfinite(opinions)):
+        raise ValueError("opinions must be finite")
+    return opinions
+
+
 @dataclass(frozen=True)
 class OpinionState:
     """Opinion vector, strictly positive bounds vector, and model kind."""
@@ -35,20 +44,12 @@ class OpinionState:
     kind: Model = Model.SBC
 
     def __post_init__(self) -> None:
-        opinions = _as_readonly_vector(self.opinions, "opinions")
         bounds = _as_readonly_vector(self.bounds, "bounds")
-        object.__setattr__(self, "opinions", opinions)
+        object.__setattr__(self, "opinions", _opinion_vector(self.opinions, len(bounds)))
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "kind", Model(self.kind))
-        if len(opinions) != len(bounds):
-            raise ValueError(
-                f"opinions and bounds must have equal length, "
-                f"got {len(opinions)} and {len(bounds)}"
-            )
-        if len(opinions) < 1:
+        if len(bounds) < 1:
             raise ValueError("at least one agent is required")
-        if not np.all(np.isfinite(opinions)):
-            raise ValueError("opinions must be finite")
         if not np.all(bounds > 0.0):
             raise ValueError("every bound must be strictly positive")
 
@@ -57,5 +58,7 @@ class OpinionState:
         return len(self.opinions)
 
     def with_opinions(self, opinions) -> "OpinionState":
-        """Same bounds and model, new opinion vector."""
-        return OpinionState(opinions, self.bounds, self.kind)
+        """Same bounds and model, new opinions: only these are copied and checked."""
+        state = object.__new__(type(self))
+        state.__dict__.update(self.__dict__, opinions=_opinion_vector(opinions, self.n))
+        return state

@@ -357,16 +357,28 @@ def matrix_power_radius(block, squarings=60):
 # became the single kernel, kept to pin its outputs. ---------------------
 
 
+MASK64 = (1 << 64) - 1
+
+
+def reference_splitmix64(j):
+    """The first output of a SplitMix64 generator seeded with ``j``, in
+    Python ints (Steele, Lea & Flood, OOPSLA 2014)."""
+    z = (j + 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
 def reference_digraph_hash(g):
-    """Edge-by-edge sha256 of the digraph, truncated to 16 hex digits."""
+    """The label edge by edge in Python ints: sha256 over n as 8
+    little-endian bytes, then per node i the sum of splitmix64(j) over its
+    edges (i, j) mod 2**64 as 8 little-endian bytes; 16 hex digits."""
     import hashlib
 
-    h = hashlib.sha256()
-    h.update(g.n.to_bytes(8, "little"))
-    for i, nbrs in enumerate(neighbor_lists(g)):
-        for j in nbrs:
-            h.update(i.to_bytes(4, "little"))
-            h.update(j.to_bytes(4, "little"))
+    h = hashlib.sha256(g.n.to_bytes(8, "little"))
+    for row in g.mask.tolist():
+        total = sum(reference_splitmix64(j) for j, edge in enumerate(row) if edge)
+        h.update((total & MASK64).to_bytes(8, "little"))
     return h.hexdigest()[:16]
 
 

@@ -236,6 +236,40 @@ class TestOtherCommands:
         assert "rates" not in out
         assert out["pseudo_stable"]["holds_from"] is not None
 
+    def test_analyze_window_below_ten_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "four.json"
+        path.write_text(json.dumps({"opinions": [0.0, 0.6, 1.0, 3.0], "bounds": [0.25, 1.0, 0.25, 0.5]}))
+        for window in ("5", "9"):
+            assert main(["analyze", "--state", str(path), "--window", window]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"argument --window: must be >= 10, got {window}" in captured.err
+        assert main(["analyze", "--state", str(path), "--window", "10"]) == 0
+        assert "rates" in json.loads(capsys.readouterr().out)
+
+    def test_analyze_prints_the_verdicts_as_asdict_would(self, tmp_path, capsys, monkeypatch):
+        import dataclasses
+
+        from opinion_lab import cli
+
+        states = [
+            ([0.0, 0.6, 1.0, 3.0], [0.25, 1.0, 0.25, 0.5]),
+            ([0.0, 1.5, 3.5, 5.0, 1.0, 1.0, 4.0, 2.1], [0.01, 0.01, 0.01, 0.01, 1.0, 1.0, 1.0, 3.0]),
+        ]
+        for kind, n, run in (("sbc", 20, 0), ("sbi", 20, 1), ("sbc", 50, 2)):
+            s = draw_state(Model(kind), n, run, 0)
+            states.append((s.opinions.tolist(), s.bounds.tolist()))
+        path = tmp_path / "state.json"
+        for opinions, bounds in states:
+            path.write_text(json.dumps({"opinions": opinions, "bounds": bounds}))
+            assert main(["analyze", "--state", str(path), "--window", "10"]) == 0
+            shallow = capsys.readouterr().out
+            # A module global named vars shadows the builtin inside cmd_analyze.
+            monkeypatch.setattr(cli, "vars", dataclasses.asdict, raising=False)
+            assert main(["analyze", "--state", str(path), "--window", "10"]) == 0
+            assert capsys.readouterr().out == shallow and '"directions"' in shallow
+            monkeypatch.delattr(cli, "vars")
+
     def test_loaded_trajectory_keeps_epochs(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "late_change.json"
         path.write_text(
@@ -496,6 +530,7 @@ class TestExperimentCommand:
             {"agent_counts": 5},
             {"models": "sbc"},
             {"models": []},
+            {"models": ["xyz"]},
         ],
     )
     def test_malformed_config_is_input_error(self, tmp_path, capsys, field):
@@ -506,6 +541,14 @@ class TestExperimentCommand:
         err = capsys.readouterr().err
         assert err.startswith("input error") and "Traceback" not in err
         assert next(iter(field)) in err
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_model_names_the_field_and_its_values(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"agent_counts": [3], "models": ["xyz"]}))
+        assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"input error: {cfg}: models must each be one of ['sbc', 'sbi'], got ['xyz']\n"
         assert not (tmp_path / "o").exists()
 
 
@@ -541,16 +584,16 @@ class TestExitCodes:
         assert main(["frobnicate"]) == 1
 
     def test_bad_flag_value(self, three_agent_json, capsys):
-        for cmd, flag in (
-            ("simulate", "--max-steps"),
-            ("simulate", "--record-every"),
-            ("analyze", "--max-steps"),
-            ("analyze", "--window"),
+        for cmd, flag, least in (
+            ("simulate", "--max-steps", 1),
+            ("simulate", "--record-every", 1),
+            ("analyze", "--max-steps", 1),
+            ("analyze", "--window", 10),
         ):
             rc = main([cmd, "--state", three_agent_json, flag, "0"])
             assert rc == 1
             err = capsys.readouterr().err
-            assert f"argument {flag}: must be >= 1, got 0" in err
+            assert f"argument {flag}: must be >= {least}, got 0" in err
             assert "Traceback" not in err
 
     @pytest.mark.parametrize("flag", ["--fixed-tol", "--limit-tol"])

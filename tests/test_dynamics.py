@@ -31,19 +31,71 @@ from conftest import (
     loop_pseudo_stable_check,
     random_state,
     reference_digraph_hash,
+    reference_splitmix64,
     reference_simulate,
     reference_step,
 )
 
 
 def test_digraph_hash_matches_edge_by_edge_reference(fig41_state):
-    assert digraph_hash(build_digraph(fig41_state)) == "5e625a2a4fe11b6b"
+    # The published first output of SplitMix64 seeded with 0.
+    assert reference_splitmix64(0) == 0xE220A8397B1DCDAF
+    assert digraph_hash(build_digraph(fig41_state)) == "26eb80b05e1c8147"
     rng = np.random.default_rng(61)
     states = [random_state(rng, max_n=15) for _ in range(30)]
     states.extend(epoch_start_states(rng, runs=5))
+    states.extend(edge_states(rng))
     for state in states:
         g = build_digraph(state)
         assert digraph_hash(g) == reference_digraph_hash(g)
+
+
+class TestLabel:
+    def test_opinions_with_the_same_mask_share_a_label(self, fig41_state):
+        moved = fig41_state.with_opinions([0.05, 0.5, 0.95])
+        assert build_digraph(moved) == build_digraph(fig41_state)
+        assert digraph_hash(build_digraph(moved)) == digraph_hash(build_digraph(fig41_state))
+        other = fig41_state.with_opinions([0.0, 0.9, 1.0])
+        assert digraph_hash(build_digraph(other)) != digraph_hash(build_digraph(fig41_state))
+
+    def test_sums_wrap_silently_mod_two_to_the_64(self):
+        # Every agent hears all 8: each row's sum of keys passes 2**64.
+        g = build_digraph(OpinionState(np.zeros(8), np.ones(8), Model.SBI))
+        assert sum(reference_splitmix64(j) for j in range(8)) >= 2**64
+        assert digraph_hash(g) == reference_digraph_hash(g)
+
+    def test_label_is_sixteen_hex_digits_of_the_mask(self):
+        rng = np.random.default_rng(67)
+        for _ in range(20):
+            state = random_state(rng, max_n=30)
+            label = digraph_hash(build_digraph(state))
+            assert len(label) == 16 and int(label, 16) >= 0
+            assert label == Epoch(0, state).label
+
+
+class TestWithOpinions:
+    def test_shares_the_bounds_and_checks_only_the_opinions(self, fig41_state):
+        y = np.array([0.1, 0.2, 0.3])
+        moved = fig41_state.with_opinions(y)
+        assert moved.bounds is fig41_state.bounds and moved.kind is fig41_state.kind
+        assert moved.opinions is not y and not moved.opinions.flags.writeable
+        y[0] = 9.0
+        assert moved.opinions.tolist() == [0.1, 0.2, 0.3]
+        assert type(moved) is OpinionState and moved.n == 3
+
+    @pytest.mark.parametrize(
+        "y, message",
+        [
+            ([0.0, math.nan, 1.0], "must be finite"),
+            ([0.0, math.inf, 1.0], "must be finite"),
+            ([0.0, 1.0], "equal length"),
+            ([0.0, 0.5, 1.0, 2.0], "equal length"),
+            ([[0.0, 0.5, 1.0]], "1-D"),
+        ],
+    )
+    def test_rejects_bad_opinions(self, fig41_state, y, message):
+        with pytest.raises(ValueError, match=message):
+            fig41_state.with_opinions(y)
 
 
 class TestStep:

@@ -78,6 +78,10 @@ class TestConfig:
         ):
             with pytest.raises(ValueError, match=name):
                 ExperimentConfig(**{"agent_counts": (5,), name: bad})
+        # Each model is one of the model values.
+        for bad in (["xyz"], ["sbc", "SBI"], [1], [None]):
+            with pytest.raises(ValueError, match=r"models must each be one of \['sbc', 'sbi'\]"):
+                ExperimentConfig(agent_counts=(5,), models=bad)
         for name in ("opinion_range", "bounds_range"):
             for bad in (
                 (0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan),
