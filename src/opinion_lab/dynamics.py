@@ -15,14 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from opinion_lab.graph import (
-    ProximityDigraph,
-    _distances,
-    _equi_topology_radius,
-    _neighbor_mask,
-    build_digraph,
-    classify,
-)
+from opinion_lab.graph import ProximityDigraph, _epsilon, _equi_topology_radius, build_digraph, classify
 from opinion_lab.matrix import adjacency_matrix, canonical_decomposition, fvct_canonical
 from opinion_lab.state import Model, OpinionState
 
@@ -41,7 +34,7 @@ def digraph_hash(g: ProximityDigraph) -> str:
     2**64 of h(j) = splitmix64(j), the first output of SplitMix64 seeded with
     j, over the edges (i, j).  A sum ignores order, so prefix sums over sorted
     neighbour ranges give every S_i in O(n).  It replaced a sha256 of the edge list."""
-    sums = g.mask.astype(np.uint64) @ _label_keys(g.n)
+    sums = g.key_sums(_label_keys(g.n))
     return hashlib.sha256(g.n.to_bytes(8, "little") + sums.astype("<u8").tobytes()).hexdigest()[:16]
 
 
@@ -121,7 +114,7 @@ class Epoch:
 
     start: int
     state: OpinionState
-    _mask: Optional[np.ndarray] = field(default=None, repr=False)  # state's mask, if known
+    _digraph: Optional[ProximityDigraph] = field(default=None, repr=False)  # state's, if known
     _limit: Optional[np.ndarray] = field(default=None, repr=False)
     # A state of the epoch and the box around it that keeps its mask.
     _anchor: Optional[np.ndarray] = field(default=None, repr=False)
@@ -131,13 +124,13 @@ class Epoch:
 
     @cached_property
     def epsilon(self) -> np.ndarray:
-        return _equi_topology_radius(_distances(self.state.opinions), self.state.bounds)
+        return _epsilon(self.state.opinions, self.state.bounds)
 
     @cached_property
     def digraph(self) -> ProximityDigraph:
         if self._twin is not None:
             return self._twin.digraph
-        return build_digraph(self.state) if self._mask is None else ProximityDigraph(self._mask)
+        return build_digraph(self.state) if self._digraph is None else self._digraph
 
     @cached_property
     def label(self) -> str:
@@ -162,16 +155,19 @@ class Epoch:
             self._limit = fvct_canonical(self.decomposition, self.state.opinions)
         return self._limit
 
+    def _step(self, x: np.ndarray) -> np.ndarray:
+        """The averaging map of the epoch's topology applied to ``x``: the
+        one stepping kernel."""
+        return self.matrix @ x
+
     def at(self, opinions) -> Epoch:
         """The epoch of ``opinions`` under this epoch's bounds and model, from
-        the same step, with its mask and ε read from one distance matrix.
-        If the mask is this epoch's, the new one reads this one's digraph,
+        the same step, with its digraph and ε read from one distance matrix.
+        If the digraph is this epoch's, the new one reads this one's digraph,
         matrix and classification.  This epoch's anchor stays where it is."""
         state = self.state.with_opinions(opinions)
-        dist = _distances(state.opinions)
-        mask = _neighbor_mask(dist, state.bounds, state.kind)
-        kept = not (mask != self.digraph.mask).any()
-        at = Epoch(self.start, state, _twin=self) if kept else Epoch(self.start, state, mask)
+        g, dist = self.digraph.at(state.opinions, state.bounds, state.kind)
+        at = Epoch(self.start, state, g, _twin=self if g is self.digraph else None)
         at.epsilon = _equi_topology_radius(dist, state.bounds)
         return at
 
@@ -210,16 +206,15 @@ def _epoch_at(epoch: Optional[Epoch], t: int, x: np.ndarray, state: OpinionState
     new anchor.  A new epoch gets its anchor at its first kept state, so a
     run in which every compared state changes the mask builds no box.
     """
-    mask = None
+    g = None
     if epoch is not None:
         if epoch._anchor is not None and (np.abs(x - epoch._anchor) < epoch._radius).all():
             return epoch
-        dist = _distances(x)
-        mask = _neighbor_mask(dist, state.bounds, state.kind)
-        if not (mask != epoch.digraph.mask).any():
+        g, dist = epoch.digraph.at(x, state.bounds, state.kind)
+        if g is epoch.digraph:
             epoch._anchor, epoch._radius = x, _anchor_radius(dist, x, state.bounds)
             return epoch
-    epoch = Epoch(t, state.with_opinions(x), mask)
+    epoch = Epoch(t, state.with_opinions(x), g)
     log.append((t, epoch.label))
     return epoch
 
@@ -277,7 +272,7 @@ def simulate(
             times.append(t)
             rows.append(x)
 
-        x_next = epoch.matrix @ x
+        x_next = epoch._step(x)
         moved = float(np.abs(x_next - x).max())
         # Distinct finite doubles never subtract to 0, so moved == 0 iff x' == x.
         fixed = moved <= fixed_tol

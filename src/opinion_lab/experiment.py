@@ -216,7 +216,7 @@ def run_single(
         if t % cfg.check_every == 0 and in_neighborhood(x, limit.state, delta):
             tau = t
             break
-        x = epoch.matrix @ x
+        x = epoch._step(x)
     return RunRecord(
         model=Model(model),
         n=n,

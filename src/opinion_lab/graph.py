@@ -55,6 +55,34 @@ class ProximityDigraph:
         rows = (f"[{i}, " + f", [{i}, ".join(tail[row]) for i, row in enumerate(self.mask))
         return f'{{"n": {self.n}, "edges": [{", ".join(rows)}]}}'
 
+    def at(self, y: np.ndarray, r: np.ndarray, kind: Model) -> tuple:
+        """The digraph of opinions ``y`` under validated bounds ``r`` and
+        model ``kind``, decided exactly: this same object iff y has exactly
+        this digraph's edges, else a new digraph.  Second, the pairwise
+        distances of y, from which ``_equi_topology_radius`` reads ε."""
+        dist = _distances(y)
+        mask = _neighbor_mask(dist, r, kind)
+        return (self if not (mask != self.mask).any() else ProximityDigraph(mask)), dist
+
+    def key_sums(self, keys: np.ndarray) -> np.ndarray:
+        """Per node i, the sum mod 2**64 of the uint64 ``keys[j]`` over its
+        out-neighbours j.  A sum ignores order, so the rows are summed in
+        blocks of at most 2**16 terms (one row if n is larger) and the
+        temporary stays that small however many edges there are."""
+        rows = max(1, 2**16 // self.n)
+        return np.concatenate(
+            [self.mask[k : k + rows].astype(np.uint64) @ keys for k in range(0, self.n, rows)]
+        )
+
+    def weak_components(self) -> tuple:
+        """The weakly connected components, each sorted ascending, in order
+        of smallest member."""
+        return weak_components(self.mask)
+
+    def is_agreement(self, y: np.ndarray) -> bool:
+        """Whether every edge joins two equal opinions of ``y``."""
+        return not np.any(self.mask & (y[:, None] != y[None, :]))
+
 
 class SccClass(str, Enum):
     CLOSED = "closed_minded"
@@ -135,6 +163,11 @@ def _equi_topology_radius(dist: np.ndarray, r: np.ndarray) -> np.ndarray:
     np.abs(slack, out=slack)
     np.fill_diagonal(slack, math.inf)
     return 0.5 * np.fmin(np.fmin.reduce(slack, axis=0), np.fmin.reduce(slack, axis=1))
+
+
+def _epsilon(y: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``_equi_topology_radius`` of opinions ``y`` under bounds ``r``."""
+    return _equi_topology_radius(_distances(y), r)
 
 
 def build_digraph(state: OpinionState) -> ProximityDigraph:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from opinion_lab.graph import Classification, ProximityDigraph, SccClass, classify, build_digraph
+from opinion_lab.graph import Classification, ProximityDigraph, SccClass
 from opinion_lab.state import OpinionState
 
 
@@ -171,9 +171,7 @@ def fvct_canonical(decomp: CanonicalDecomposition, y: np.ndarray) -> np.ndarray:
 
 def fvct(state: OpinionState) -> np.ndarray:
     """Limit of A(y)^t y: where the system would settle if the current
-    topology froze."""
-    g = build_digraph(state)
-    c = classify(g)
-    a = adjacency_matrix(g)
-    decomp = canonical_decomposition(a, c)
-    return fvct_canonical(decomp, state.opinions)
+    topology froze, from the state's ``Epoch``."""
+    from opinion_lab.dynamics import Epoch  # dynamics imports this module
+
+    return Epoch(0, state).fvct()

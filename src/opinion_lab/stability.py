@@ -10,7 +10,6 @@ from typing import Optional
 import numpy as np
 
 from opinion_lab.dynamics import Epoch, Termination, Trajectory
-from opinion_lab.graph import weak_components
 from opinion_lab.matrix import fvct_canonical
 from opinion_lab.state import Model, OpinionState
 
@@ -83,21 +82,14 @@ def is_equilibrium(state: OpinionState | Epoch, tol: float = 0.0) -> bool:
         raise ValueError("tol must be nonnegative")
     epoch = _as_epoch(state)
     y = epoch.state.opinions
-    return bool(np.max(np.abs(epoch.matrix @ y - y)) <= tol)
+    return bool(np.max(np.abs(epoch._step(y) - y)) <= tol)
 
 
 def is_agreement_vector(state: OpinionState | Epoch) -> bool:
     """Every pair of agents of ``state``, an ``OpinionState`` or its
     ``Epoch``, is either disconnected or in consensus."""
     epoch = _as_epoch(state)
-    y = epoch.state.opinions
-    return not np.any(epoch.digraph.mask & (y[:, None] != y[None, :]))
-
-
-def _weak_components(state: OpinionState | Epoch) -> list:
-    """WCCs of the full proximity digraph of ``state``, an ``OpinionState``
-    or its ``Epoch``, by smallest member."""
-    return [list(w) for w in weak_components(_as_epoch(state).digraph.mask)]
+    return epoch.digraph.is_agreement(epoch.state.opinions)
 
 
 @dataclass(frozen=True)
@@ -148,7 +140,7 @@ def check_agreement_sufficient(state: OpinionState | Epoch) -> AgreementSufficie
     """
     epoch = _as_epoch(state)
     y, r = epoch.state.opinions, epoch.state.bounds
-    wccs = _weak_components(epoch)
+    wccs = epoch.digraph.weak_components()
     intervals = [(float(y[m].min()), float(y[m].max())) for m in (np.array(w) for w in wccs)]
     max_bound = [float(r[np.array(w)].max()) for w in wccs]
 

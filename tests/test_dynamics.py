@@ -20,8 +20,8 @@ from opinion_lab import dynamics
 from opinion_lab.cli import load_trajectory_csv
 from opinion_lab.dynamics import Epoch
 from opinion_lab.experiment import draw_state
-from opinion_lab.graph import _distances, _equi_topology_radius, _neighbor_mask
-from opinion_lab.stability import _weak_components, equi_topology_distance
+from opinion_lab.graph import ProximityDigraph, _distances, _equi_topology_radius, _neighbor_mask
+from opinion_lab.stability import equi_topology_distance
 
 from conftest import (
     edge_states,
@@ -63,6 +63,23 @@ class TestLabel:
         g = build_digraph(OpinionState(np.zeros(8), np.ones(8), Model.SBI))
         assert sum(reference_splitmix64(j) for j in range(8)) >= 2**64
         assert digraph_hash(g) == reference_digraph_hash(g)
+
+    def test_the_label_temporary_stays_small(self):
+        # A dense uint64 copy of this 2 %-full n = 2000 mask would take
+        # 32 MB; the key sums are taken over row blocks instead.
+        import tracemalloc
+
+        rng = np.random.default_rng(71)
+        g = build_digraph(OpinionState(rng.uniform(0.0, 1.0, 2000), np.full(2000, 0.01), Model.SBC))
+        digraph_hash(g)
+        tracemalloc.start()
+        try:
+            label = digraph_hash(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert label == reference_digraph_hash(g)
 
     def test_label_is_sixteen_hex_digits_of_the_mask(self):
         rng = np.random.default_rng(67)
@@ -181,15 +198,15 @@ class TestSimulate:
         rng = np.random.default_rng(79)
         for _ in range(20):
             state = random_state(rng, max_n=10)
-            wcc0 = _weak_components(state)
+            wcc0 = Epoch(0, state).digraph.weak_components()
             traj = simulate(state, max_steps=60, limit_tol=0.0)
             # Only check while the weak components stay identical.
             for k in range(len(traj.states) - 1):
                 s_now = state.with_opinions(traj.states[k])
-                if _weak_components(s_now) != wcc0:
+                if Epoch(0, s_now).digraph.weak_components() != wcc0:
                     break
                 a, b = traj.states[k], traj.states[k + 1]
-                for members in wcc0:
+                for members in map(list, wcc0):
                     assert b[members].min() >= a[members].min() - 1e-14
                     assert b[members].max() <= a[members].max() + 1e-14
 
@@ -229,9 +246,7 @@ class TestSimulate:
 
     def test_digraph_built_once_per_epoch(self, monkeypatch):
         # Counts every digraph constructed, whether build_digraph computes
-        # the mask or the epoch wraps the mask its change test computed.
-        from opinion_lab.graph import ProximityDigraph
-
+        # the mask or the digraph's change test builds a new one.
         calls = []
         post_init = ProximityDigraph.__post_init__
 
@@ -439,30 +454,30 @@ class TestAnchorBox:
 
 
 class TestMaskEvaluations:
-    """The exact mask runs only where a state leaves its epoch's box."""
+    """The exact change test runs only where a state leaves its epoch's box."""
 
     @staticmethod
-    def counted(monkeypatch, name):
+    def counted(monkeypatch, owner, name):
         calls = []
-        real = getattr(dynamics, name)
+        real = getattr(owner, name)
 
         def counting(*args):
             calls.append(1)
             return real(*args)
 
-        monkeypatch.setattr(dynamics, name, counting)
+        monkeypatch.setattr(owner, name, counting)
         return calls
 
     def test_a_long_constant_topology_tail_skips_most_masks(self, monkeypatch):
-        masks = self.counted(monkeypatch, "_neighbor_mask")
+        masks = self.counted(monkeypatch, ProximityDigraph, "at")
         traj = simulate(draw_state(Model.SBC, 50, 0, 1))
         steps = traj.times[-1]
         assert steps - traj.final_epoch.start > 500
         assert len(masks) < steps / 5
 
     def test_a_run_of_new_epochs_builds_no_box(self, monkeypatch):
-        masks = self.counted(monkeypatch, "_neighbor_mask")
-        boxes = self.counted(monkeypatch, "_anchor_radius")
+        masks = self.counted(monkeypatch, ProximityDigraph, "at")
+        boxes = self.counted(monkeypatch, dynamics, "_anchor_radius")
         traj = simulate(draw_state(Model.SBI, 100, 0, 1), max_steps=9)
         assert [t for t, _ in traj.topology_epochs] == list(range(10))
         assert len(masks) == 9 and not boxes

@@ -16,7 +16,7 @@ from opinion_lab import (
 )
 from opinion_lab.dynamics import Epoch
 from opinion_lab.experiment import draw_state
-from opinion_lab.graph import ProximityDigraph, weak_components
+from opinion_lab.graph import ProximityDigraph, _distances, _neighbor_mask, weak_components
 from opinion_lab.stability import equi_topology_distance, invariant_equi_topology_distance
 
 from conftest import (
@@ -47,6 +47,11 @@ def self_loop_digraph(n):
 
 def path_digraph(n):
     return ProximityDigraph(np.eye(n, dtype=bool) | np.eye(n, k=1, dtype=bool))
+
+
+def constant_on_each(y, components):
+    """Whether ``y`` holds one opinion on each of ``components``."""
+    return all(len(set(y[list(w)].tolist())) == 1 for w in components)
 
 
 def late_sbi_states(runs=4):
@@ -147,6 +152,37 @@ class TestProximityDigraph:
         assert self_loop_digraph(2) != self_loop_digraph(3)
         assert path_digraph(3) != ProximityDigraph(path_digraph(3).mask.T)
         assert len({complete_digraph(3), b, path_digraph(3), self_loop_digraph(3)}) == 3
+
+    @staticmethod
+    def moved(rng, y):
+        """The opinions themselves, a copy, a permutation, a fresh draw in
+        their range, and each agent one ulp up or down, which breaks the
+        boundary ties of tied states."""
+        yield y
+        yield y.copy()
+        yield rng.permutation(y)
+        yield rng.uniform(y.min(), y.max(), len(y))
+        for i in range(len(y)):
+            x = y.copy()
+            x[i] = np.nextafter(x[i], np.inf if rng.random() < 0.5 else -np.inf)
+            yield x
+
+    def test_at_is_this_digraph_iff_the_mask_is_kept(self):
+        rng = np.random.default_rng(229)
+        states = list(edge_states(rng))
+        assert len(states) == 62
+        states.extend(grid_state(rng) for _ in range(60))
+        states.extend(epoch_start_states(rng, runs=2))
+        kept = changed = 0
+        for state in states:
+            g, r, kind = build_digraph(state), state.bounds, state.kind
+            for x in self.moved(rng, state.opinions):
+                got, dist = g.at(x, r, kind)
+                want = _neighbor_mask(_distances(x), r, kind)
+                assert (got is g) == np.array_equal(want, g.mask)
+                assert np.array_equal(got.mask, want) and np.array_equal(dist, _distances(x))
+                kept, changed = kept + (got is g), changed + (got is not g)
+        assert kept > 1000 and changed > 300
 
 
 class TestDigraphJson:
@@ -430,14 +466,33 @@ class TestPredecessors:
 
     @pytest.mark.parametrize("digraph", [complete_digraph, path_digraph])
     def test_weak_components_match_closure_oracle(self, digraph):
-        mask = digraph(300).mask
+        g = digraph(300)
+        mask = g.mask
         assert weak_components(mask) == closure_weak_components(mask)
+        assert g.weak_components() == closure_weak_components(mask)
+        for y in (np.zeros(300), np.arange(300.0)):
+            assert g.is_agreement(y) == constant_on_each(y, closure_weak_components(mask))
         assert weak_components(mask) == (tuple(range(300)),)
         assert weak_components(np.eye(300, dtype=bool)) == tuple((v,) for v in range(300))
 
     def test_weak_components_of_random_masks_match_closure_oracle(self):
         rng = np.random.default_rng(41)
+        pick = np.random.default_rng(43)
+        agreements = 0
         for _ in range(300):
             n = int(rng.integers(0, 50))
             mask = rng.random((n, n)) < rng.uniform(0.0, 0.1)
-            assert weak_components(mask) == closure_weak_components(mask)
+            want = closure_weak_components(mask)
+            assert weak_components(mask) == want
+            if n:
+                # The digraph's own components and agreement test, on
+                # opinions constant on some of the components.
+                g = ProximityDigraph(mask | np.eye(n, dtype=bool))
+                assert g.weak_components() == want
+                y = pick.integers(0, 3, n).astype(float)
+                for w in want:
+                    if pick.random() < 0.8:
+                        y[list(w)] = y[w[0]]
+                assert g.is_agreement(y) == constant_on_each(y, want)
+                agreements += constant_on_each(y, want)
+        assert 50 < agreements < 250

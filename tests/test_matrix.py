@@ -340,11 +340,10 @@ class TestFvct:
             c = classify(build_digraph(state))
             assert not any(cl is SccClass.MODERATE for cl in c.classes)
             # Extremes of every weak component sit in closed-minded parts.
-            from opinion_lab.stability import _weak_components
-
-            cf = classify(build_digraph(f_state))
+            g_f = build_digraph(f_state)
+            cf = classify(g_f)
             closed_nodes = set(cf.nodes_of_class(SccClass.CLOSED))
-            for wcc in _weak_components(f_state):
+            for wcc in map(list, g_f.weak_components()):
                 vals = f[wcc]
                 lo_node = wcc[int(np.argmin(vals))]
                 hi_node = wcc[int(np.argmax(vals))]

@@ -242,8 +242,6 @@ class TestAgreementSufficientCondition:
         # Whenever both conditions hold, the trajectory must reach a fixed
         # agreement vector in finite time, and every weak component must
         # keep a node that is an out-neighbor of all its nodes.
-        from opinion_lab.stability import _weak_components
-
         rng = np.random.default_rng(109)
         checked = 0
         trials = 0
@@ -266,7 +264,7 @@ class TestAgreementSufficientCondition:
             for x in traj.states:
                 s_now = state.with_opinions(x)
                 g = build_digraph(s_now)
-                for members in _weak_components(s_now):
+                for members in g.weak_components():
                     assert any(
                         all(j in neighbor_lists(g)[i] for i in members)
                         for j in members
