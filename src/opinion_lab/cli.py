@@ -18,7 +18,7 @@ import numpy as np
 
 from opinion_lab.dynamics import Trajectory, _epoch_at, pseudo_stable_check, simulate
 from opinion_lab.experiment import ExperimentConfig, emit_results, run_campaign
-from opinion_lab.graph import build_digraph, classify
+from opinion_lab.graph import build_digraph
 from opinion_lab.leader import (
     analyze_final_topology,
     verify_direction_prediction,
@@ -137,7 +137,7 @@ def cmd_simulate(args) -> int:
 def cmd_classify(args) -> int:
     state = load_state(args.state, args.model)
     g = build_digraph(state)
-    c = classify(g)
+    c = g.classification
     print(f'{{"digraph": {g.to_json()}, "classification": {json.dumps(c.to_json())}}}')
     return 0
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from opinion_lab.graph import ProximityDigraph, _epsilon, _equi_topology_radius, build_digraph, classify
+from opinion_lab.graph import ProximityDigraph, _epsilon, _equi_topology_radius, build_digraph
 from opinion_lab.matrix import adjacency_matrix, canonical_decomposition, fvct_canonical
 from opinion_lab.state import Model, OpinionState
 
@@ -110,7 +110,8 @@ class Trajectory:
 class Epoch:
     """One topology epoch: from step ``start`` the opinions keep the
     proximity mask of ``state``, the epoch's first state.  The digraph, its
-    label, the averaging matrix, ε and the rest are computed on first use."""
+    label, the averaging matrix, ε and the rest are computed on first use;
+    the classification is the digraph's, shared by every epoch holding it."""
 
     start: int
     state: OpinionState
@@ -119,8 +120,6 @@ class Epoch:
     # A state of the epoch and the box around it that keeps its mask.
     _anchor: Optional[np.ndarray] = field(default=None, repr=False)
     _radius: Optional[np.ndarray] = field(default=None, repr=False)
-    # An epoch of the same mask whose digraph, matrix and classification it reads.
-    _twin: Optional[Epoch] = field(default=None, repr=False)
 
     @cached_property
     def epsilon(self) -> np.ndarray:
@@ -128,8 +127,6 @@ class Epoch:
 
     @cached_property
     def digraph(self) -> ProximityDigraph:
-        if self._twin is not None:
-            return self._twin.digraph
         return build_digraph(self.state) if self._digraph is None else self._digraph
 
     @cached_property
@@ -138,15 +135,11 @@ class Epoch:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        return adjacency_matrix(self.digraph) if self._twin is None else self._twin.matrix
-
-    @cached_property
-    def classification(self):
-        return classify(self.digraph) if self._twin is None else self._twin.classification
+        return adjacency_matrix(self.digraph)
 
     @cached_property
     def decomposition(self):
-        return canonical_decomposition(self.matrix, self.classification)
+        return canonical_decomposition(self.matrix, self.digraph.classification)
 
     def fvct(self) -> np.ndarray:
         """Final value at constant topology of the epoch's first state (the
@@ -163,11 +156,12 @@ class Epoch:
     def at(self, opinions) -> Epoch:
         """The epoch of ``opinions`` under this epoch's bounds and model, from
         the same step, with its digraph and ε read from one distance matrix.
-        If the digraph is this epoch's, the new one reads this one's digraph,
-        matrix and classification.  This epoch's anchor stays where it is."""
+        If the digraph is this epoch's, the new one holds the same digraph
+        object and with it the same classification.  This epoch's anchor
+        stays where it is."""
         state = self.state.with_opinions(opinions)
         g, dist = self.digraph.at(state.opinions, state.bounds, state.kind)
-        at = Epoch(self.start, state, g, _twin=self if g is self.digraph else None)
+        at = Epoch(self.start, state, g)
         at.epsilon = _equi_topology_radius(dist, state.bounds)
         return at
 

@@ -21,7 +21,8 @@ from opinion_lab.state import Model, OpinionState
 class ProximityDigraph:
     """The proximity relation as its validated boolean matrix: ``mask[i, j]``
     iff j is an out-neighbor of i, self-loops included.  Two digraphs are
-    equal when their masks are."""
+    equal when their masks are.  The bitset rows and the classification are
+    computed on first use, once per digraph object."""
 
     mask: np.ndarray = field(repr=False)
 
@@ -31,10 +32,18 @@ class ProximityDigraph:
             raise ValueError("mask must be a square matrix")
         if mask.shape[0] < 1:
             raise ValueError("digraph needs at least one node")
-        missing = np.flatnonzero(~mask.diagonal())
-        if missing.size:
-            raise ValueError(f"node {missing[0]} is missing its self-loop")
+        if not mask.diagonal().all():
+            raise ValueError(f"node {mask.diagonal().argmin()} is missing its self-loop")
         object.__setattr__(self, "mask", mask)
+
+    @functools.cached_property
+    def bit_rows(self) -> list:
+        """``_bit_rows`` of the mask, shared by the SCC search and ``classify``."""
+        return _bit_rows(self.mask)
+
+    @functools.cached_property
+    def classification(self) -> Classification:
+        return classify(self)
 
     @property
     def n(self) -> int:
@@ -74,14 +83,9 @@ class ProximityDigraph:
             [self.mask[k : k + rows].astype(np.uint64) @ keys for k in range(0, self.n, rows)]
         )
 
-    def weak_components(self) -> tuple:
-        """The weakly connected components, each sorted ascending, in order
-        of smallest member."""
-        return weak_components(self.mask)
-
-    def is_agreement(self, y: np.ndarray) -> bool:
-        """Whether every edge joins two equal opinions of ``y``."""
-        return not np.any(self.mask & (y[:, None] != y[None, :]))
+    def dense(self) -> np.ndarray:
+        """The adjacency as a dense n×n boolean array, not to be written."""
+        return self.mask
 
 
 class SccClass(str, Enum):
@@ -95,11 +99,13 @@ class SccClass(str, Enum):
 
 @dataclass(frozen=True)
 class Classification:
-    """SCC partition with class tags, condensation DAG, and open WCCs.
+    """SCC partition with class tags, condensation DAG, and the WCCs of the
+    digraph and of its open subgraph.
 
     ``sccs`` is in reverse topological order (every edge between distinct
     SCCs goes from a later entry to an earlier one).  ``condensation`` holds
-    the out-edges of each SCC as indices into ``sccs``.
+    the out-edges of each SCC as indices into ``sccs``.  Each WCC is sorted
+    ascending, and the WCCs come in order of smallest member.
     """
 
     sccs: tuple
@@ -107,6 +113,7 @@ class Classification:
     condensation: tuple
     open_wccs: tuple
     scc_of: tuple
+    wccs: tuple
 
     def nodes_of_class(self, cls: SccClass) -> list:
         out = []
@@ -204,7 +211,7 @@ def strongly_connected_components(g: ProximityDigraph) -> list:
     merges the segments above any node it reaches there, and a node still
     at the top boundary closes its component.
     """
-    rows = _bit_rows(g.mask)
+    rows = g.bit_rows
     unvisited = (1 << g.n) - 1
     on_stack = 0
     stack: list = []
@@ -235,7 +242,8 @@ def strongly_connected_components(g: ProximityDigraph) -> list:
 
 
 def classify(g: ProximityDigraph) -> Classification:
-    """Tag every SCC and compute condensation plus open-minded WCCs."""
+    """Tag every SCC and compute the condensation, the WCCs and the
+    open-minded WCCs; ``g.classification`` caches it."""
     sccs = strongly_connected_components(g)
     scc_of = np.empty(g.n, dtype=np.intp)
     for k, members in enumerate(sccs):
@@ -243,7 +251,7 @@ def classify(g: ProximityDigraph) -> Classification:
 
     # An SCC's out-neighbors are the union of its members' rows; a sink is
     # complete iff each member's row holds the whole SCC.
-    rows = _bit_rows(g.mask)
+    rows = g.bit_rows
     out = [functools.reduce(int.__or__, [rows[v] for v in members]) for members in sccs]
     ks, cols = np.nonzero(_bit_matrix(out, g.n))
     cond = np.zeros((len(sccs), len(sccs)), dtype=bool)
@@ -258,24 +266,26 @@ def classify(g: ProximityDigraph) -> Classification:
         for k, members in enumerate(sccs)
     )
 
-    # Open WCCs group the open SCCs joined by condensation edges.
-    open_ids = np.flatnonzero(is_open)
-    groups = weak_components(cond[np.ix_(open_ids, open_ids)])
-    open_wccs = tuple(sorted(
-        tuple(sorted(v for k in w for v in sccs[open_ids[k]])) for w in groups
-    ))
+    # WCCs group the SCCs joined by condensation edges, open WCCs the open
+    # SCCs joined by edges between open SCCs.
+    def members(ids):
+        groups = weak_components(cond[np.ix_(ids, ids)])
+        return tuple(sorted(tuple(sorted(v for k in w for v in sccs[ids[k]])) for w in groups))
+
     return Classification(
         sccs=tuple(tuple(m) for m in sccs),
         classes=classes,
         condensation=tuple(tuple(np.flatnonzero(row).tolist()) for row in cond),
-        open_wccs=open_wccs,
+        open_wccs=members(np.flatnonzero(is_open)),
         scc_of=tuple(scc_of.tolist()),
+        wccs=members(np.arange(len(sccs))),
     )
 
 
 def weak_components(mask: np.ndarray) -> tuple:
     """WCCs of the digraph with boolean adjacency ``mask`` by bitset flood
-    fill, each sorted ascending, in order of smallest member."""
+    fill, each sorted ascending, in order of smallest member.  ``classify``
+    runs it on the condensation, never on a node-level mask."""
     n = len(mask)
     rows = _bit_rows(mask | mask.T)
     unseen = (1 << n) - 1

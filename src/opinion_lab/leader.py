@@ -89,7 +89,7 @@ def analyze_final_topology(traj: Trajectory):
     """Digraph, classification, decomposition, fvct, and leaders at the
     final state's topology, which is its final epoch's."""
     epoch = traj.final_epoch
-    c, d = epoch.classification, epoch.decomposition
+    c, d = epoch.digraph.classification, epoch.decomposition
     f = fvct_canonical(d, traj.states[-1])
     return epoch.digraph, c, d, f, leader_assignment(c, d)
 

@@ -20,7 +20,8 @@ from opinion_lab.state import OpinionState
 
 def adjacency_matrix(g: ProximityDigraph) -> np.ndarray:
     """Row-stochastic averaging matrix: row i is uniform on N_i."""
-    return g.mask / g.mask.sum(axis=1, keepdims=True)
+    a = g.dense()
+    return a / a.sum(axis=1, keepdims=True)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ checks, and the topology-freeze / finite-time sufficient conditions."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,7 +40,7 @@ def invariant_equi_topology_distance(state: OpinionState | Epoch) -> np.ndarray:
     walking them from the last pushes each SCC's exact minimum to its
     successors after all of its predecessors have pushed theirs."""
     epoch = _as_epoch(state)
-    c = epoch.classification
+    c = epoch.digraph.classification
     scc_of = np.array(c.scc_of)
     best = np.full(len(c.sccs), math.inf)
     np.minimum.at(best, scc_of, epoch.epsilon)
@@ -87,9 +87,13 @@ def is_equilibrium(state: OpinionState | Epoch, tol: float = 0.0) -> bool:
 
 def is_agreement_vector(state: OpinionState | Epoch) -> bool:
     """Every pair of agents of ``state``, an ``OpinionState`` or its
-    ``Epoch``, is either disconnected or in consensus."""
+    ``Epoch``, is either disconnected or in consensus: the opinions are
+    constant on every WCC of its digraph."""
     epoch = _as_epoch(state)
-    return epoch.digraph.is_agreement(epoch.state.opinions)
+    wccs = epoch.digraph.classification.wccs
+    y = epoch.state.opinions[np.concatenate(wccs)]
+    starts = np.cumsum([0] + [len(w) for w in wccs[:-1]])
+    return bool((np.minimum.reduceat(y, starts) == np.maximum.reduceat(y, starts)).all())
 
 
 @dataclass(frozen=True)
@@ -113,20 +117,7 @@ class AgreementSufficiency:
         return self.separation_ok and self.bounds_ok
 
     def to_json(self) -> dict:
-        return {
-            "per_wcc": [
-                {
-                    "members": list(v.members),
-                    "interval": list(v.interval),
-                    "separated": v.separated,
-                    "bound_condition": v.bound_condition,
-                }
-                for v in self.per_wcc
-            ],
-            "separation_ok": self.separation_ok,
-            "bounds_ok": self.bounds_ok,
-            "predicted_finite_time": self.predicted_finite_time,
-        }
+        return {**asdict(self), "predicted_finite_time": self.predicted_finite_time}
 
 
 def check_agreement_sufficient(state: OpinionState | Epoch) -> AgreementSufficiency:
@@ -140,7 +131,7 @@ def check_agreement_sufficient(state: OpinionState | Epoch) -> AgreementSufficie
     """
     epoch = _as_epoch(state)
     y, r = epoch.state.opinions, epoch.state.bounds
-    wccs = epoch.digraph.weak_components()
+    wccs = epoch.digraph.classification.wccs
     intervals = [(float(y[m].min()), float(y[m].max())) for m in (np.array(w) for w in wccs)]
     max_bound = [float(r[np.array(w)].max()) for w in wccs]
 
@@ -216,12 +207,9 @@ class StabilityReport:
 
     def to_json(self) -> dict:
         return {
+            **vars(self),
             "epsilon": [_json_float(v) for v in self.epsilon],
             "delta": [_json_float(v) for v in self.delta],
-            "is_equilibrium": self.is_equilibrium,
-            "is_agreement": self.is_agreement,
-            "in_et_of_fvct": self.in_et_of_fvct,
-            "in_iet_of_fvct": self.in_iet_of_fvct,
             "agreement_condition": self.agreement_condition.to_json(),
         }
 
@@ -232,9 +220,9 @@ def _json_float(v: float):
 
 def stability_report(state: OpinionState) -> StabilityReport:
     """Full condition evaluation for one opinion state.  The state's epoch
-    and its fvct's (which shares the state's topology when it keeps the
-    mask) hold ε, the digraphs, classifications and averaging matrices, and
-    every check reads one of the two."""
+    and its fvct's (which shares the state's digraph, and so its
+    classification, when it keeps the mask) hold ε, the digraphs and
+    classifications, and every check reads one of the two."""
     topology = Epoch(0, state)
     limit = topology.at(topology.fvct())
     eps_f = equi_topology_distance(limit)

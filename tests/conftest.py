@@ -130,6 +130,15 @@ def digraph_oracle(state):
     return tuple(out)
 
 
+def mask_agreement_oracle(state):
+    """The former agreement rule, n^2 comparisons: no edge of the proximity
+    mask joins two different opinions."""
+    from opinion_lab.graph import proximity_mask
+
+    y = state.opinions
+    return not np.any(proximity_mask(state) & (y[:, None] != y[None, :]))
+
+
 def neighbor_lists(g):
     """Every node's out-neighbors as an ascending tuple, self included."""
     return tuple(tuple(np.flatnonzero(row).tolist()) for row in g.mask)

@@ -24,6 +24,7 @@ from opinion_lab.graph import ProximityDigraph, _distances, _equi_topology_radiu
 from opinion_lab.stability import equi_topology_distance
 
 from conftest import (
+    count_calls,
     edge_states,
     epoch_start_states,
     grid_state,
@@ -198,12 +199,12 @@ class TestSimulate:
         rng = np.random.default_rng(79)
         for _ in range(20):
             state = random_state(rng, max_n=10)
-            wcc0 = Epoch(0, state).digraph.weak_components()
+            wcc0 = Epoch(0, state).digraph.classification.wccs
             traj = simulate(state, max_steps=60, limit_tol=0.0)
             # Only check while the weak components stay identical.
             for k in range(len(traj.states) - 1):
                 s_now = state.with_opinions(traj.states[k])
-                if Epoch(0, s_now).digraph.weak_components() != wcc0:
+                if Epoch(0, s_now).digraph.classification.wccs != wcc0:
                     break
                 a, b = traj.states[k], traj.states[k + 1]
                 for members in map(list, wcc0):
@@ -533,14 +534,35 @@ class TestEpochAt:
                 assert np.array_equal(got.digraph.mask, want)
                 same = np.array_equal(want, epoch.digraph.mask)
                 kept, changed = kept + same, changed + (not same)
-                for name in ("digraph", "classification", "matrix"):
-                    assert (getattr(got, name) is getattr(epoch, name)) == same
+                assert (got.digraph is epoch.digraph) == same
+                assert (got.digraph.classification is epoch.digraph.classification) == same
+                # Each epoch builds its own matrix, bitwise equal iff the digraph is shared.
+                assert got.matrix is not epoch.matrix
+                assert (got.matrix.tobytes() == epoch.matrix.tobytes()) == same
                 assert got.fvct().tobytes() == fvct(other).tobytes()
                 assert got.epsilon.tobytes() == two_step(other.opinions, r).tobytes()
                 assert epoch._anchor is anchor and epoch._radius is radius
                 if anchor is not None:
                     assert (anchor.tobytes(), radius.tobytes()) == before
         assert kept > 300 and changed > 200 and anchored > 10
+
+    def test_epochs_on_one_digraph_share_one_classification(self, monkeypatch):
+        # The classification belongs to the digraph: epochs that hold the
+        # same digraph object, built on it or from Epoch.at, classify once.
+        from opinion_lab import graph
+
+        counts = count_calls(monkeypatch, graph.classify)
+        for state in edge_states(np.random.default_rng(239)):
+            counts.update(classify=0)
+            g = build_digraph(state)
+            first = Epoch(0, state, g)
+            second, kept = Epoch(5, state, g), first.at(state.opinions.copy())
+            for epoch in (first, second, kept):
+                assert epoch.digraph is g
+                assert epoch.fvct().tobytes() == first.fvct().tobytes()
+            assert first.digraph.classification is second.digraph.classification
+            assert first.decomposition.matrix.tobytes() == kept.decomposition.matrix.tobytes()
+            assert counts["classify"] == 1
 
 
 class TestPerStepFactor:

@@ -17,7 +17,11 @@ from opinion_lab import (
 from opinion_lab.dynamics import Epoch
 from opinion_lab.experiment import draw_state
 from opinion_lab.graph import ProximityDigraph, _distances, _neighbor_mask, weak_components
-from opinion_lab.stability import equi_topology_distance, invariant_equi_topology_distance
+from opinion_lab.stability import (
+    equi_topology_distance,
+    invariant_equi_topology_distance,
+    is_agreement_vector,
+)
 
 from conftest import (
     closure_invariant_equi_topology_distance,
@@ -52,6 +56,12 @@ def path_digraph(n):
 def constant_on_each(y, components):
     """Whether ``y`` holds one opinion on each of ``components``."""
     return all(len(set(y[list(w)].tolist())) == 1 for w in components)
+
+
+def agreement_on(g, y):
+    """``is_agreement_vector`` of opinions ``y`` over the digraph ``g``, which
+    need not be the digraph of any bounds."""
+    return is_agreement_vector(Epoch(0, OpinionState(y, np.ones(len(y))), g))
 
 
 def late_sbi_states(runs=4):
@@ -469,9 +479,9 @@ class TestPredecessors:
         g = digraph(300)
         mask = g.mask
         assert weak_components(mask) == closure_weak_components(mask)
-        assert g.weak_components() == closure_weak_components(mask)
+        assert g.classification.wccs == closure_weak_components(mask)
         for y in (np.zeros(300), np.arange(300.0)):
-            assert g.is_agreement(y) == constant_on_each(y, closure_weak_components(mask))
+            assert agreement_on(g, y) == constant_on_each(y, closure_weak_components(mask))
         assert weak_components(mask) == (tuple(range(300)),)
         assert weak_components(np.eye(300, dtype=bool)) == tuple((v,) for v in range(300))
 
@@ -488,11 +498,11 @@ class TestPredecessors:
                 # The digraph's own components and agreement test, on
                 # opinions constant on some of the components.
                 g = ProximityDigraph(mask | np.eye(n, dtype=bool))
-                assert g.weak_components() == want
+                assert g.classification.wccs == want
                 y = pick.integers(0, 3, n).astype(float)
                 for w in want:
                     if pick.random() < 0.8:
                         y[list(w)] = y[w[0]]
-                assert g.is_agreement(y) == constant_on_each(y, want)
+                assert agreement_on(g, y) == constant_on_each(y, want)
                 agreements += constant_on_each(y, want)
         assert 50 < agreements < 250

@@ -177,7 +177,7 @@ class TestFinalTopologyFromTheEpoch:
         traj = simulate(fig41_state)
         assert traj.termination is Termination.TOLERANCE_REACHED
         got = analyze_final_topology(traj)
-        assert got[1] is traj.final_epoch.classification
+        assert got[1] is traj.final_epoch.digraph.classification
         assert got[2] is traj.final_epoch.decomposition
         assert_same_pieces(got, reference_analyze_final_topology(traj))
 
@@ -205,7 +205,7 @@ class TestFinalTopologyFromTheEpoch:
                 assert traj.final_epoch.digraph == build_digraph(traj.final_state())
                 assert traj.final_epoch.start == traj.topology_epochs[-1][0] == t
                 got = analyze_final_topology(traj)
-                assert got[1] is traj.final_epoch.classification
+                assert got[1] is traj.final_epoch.digraph.classification
                 assert_same_pieces(got, reference_analyze_final_topology(traj))
                 checked += 1
         assert checked >= 20

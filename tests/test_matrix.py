@@ -343,7 +343,7 @@ class TestFvct:
             g_f = build_digraph(f_state)
             cf = classify(g_f)
             closed_nodes = set(cf.nodes_of_class(SccClass.CLOSED))
-            for wcc in map(list, g_f.weak_components()):
+            for wcc in map(list, cf.wccs):
                 vals = f[wcc]
                 lo_node = wcc[int(np.argmin(vals))]
                 hi_node = wcc[int(np.argmax(vals))]

@@ -20,14 +20,17 @@ from opinion_lab import (
     is_equilibrium,
     simulate,
     stability_report,
+    strongly_connected_components,
 )
 from opinion_lab.graph import SccClass, proximity_mask
 
 from conftest import (
+    closure_weak_components,
     count_calls,
     edge_states,
     grid_state,
     loop_topology_matches_tail,
+    mask_agreement_oracle,
     neighbor_lists,
     random_state,
     two_matrix_equi_topology_distance,
@@ -207,6 +210,22 @@ class TestEquilibriumAndAgreement:
             assert equi_topology_distance(state).min() > 0.0
         assert checked > 100
 
+    def test_agreement_matches_the_mask_rule(self):
+        # Constant on every WCC iff no edge joins two different opinions, on
+        # the edge states and on each one with its opinions made constant on
+        # its WCCs, which keeps or makes cross-WCC edges.
+        agreements = 0
+        for state in edge_states(np.random.default_rng(229)):
+            y = state.opinions.copy()
+            for w in closure_weak_components(proximity_mask(state)):
+                y[list(w)] = y[w[0]]
+            for s in (state, state.with_opinions(y)):
+                want = mask_agreement_oracle(s)
+                assert is_agreement_vector(s) is want
+                assert stability_report(s).is_agreement is want
+                agreements += want
+        assert 20 < agreements < 100
+
 
 class TestAgreementSufficientCondition:
     def test_single_wcc_large_bounds(self):
@@ -264,7 +283,7 @@ class TestAgreementSufficientCondition:
             for x in traj.states:
                 s_now = state.with_opinions(x)
                 g = build_digraph(s_now)
-                for members in g.weak_components():
+                for members in g.classification.wccs:
                     assert any(
                         all(j in neighbor_lists(g)[i] for i in members)
                         for j in members
@@ -473,6 +492,31 @@ class TestStabilityReport:
                 r.agreement_condition,
             )
             assert got == want
+
+    def test_weak_components_run_on_the_condensation_only(self, monkeypatch):
+        # The WCCs of the state come from classify's flood fill over the
+        # condensation, so no input has a row per agent when the state and
+        # its fvct both have fewer SCCs than agents.
+        from opinion_lab import graph
+
+        original, sizes = graph.weak_components, []
+
+        def recorded(mask):
+            sizes.append(mask.shape)
+            return original(mask)
+
+        rng = np.random.default_rng(233)
+        states = list(edge_states(rng)) + [grid_state(rng) for _ in range(40)]
+        sccs = [
+            max(len(strongly_connected_components(build_digraph(s))) for s in (state, f_state))
+            for state, f_state in ((s, s.with_opinions(fvct(s))) for s in states)
+        ]
+        assert sum(k < state.n for state, k in zip(states, sccs)) > 20
+        monkeypatch.setattr(graph, "weak_components", recorded)
+        for state, k in zip(states, sccs):
+            sizes.clear()
+            stability_report(state)
+            assert sizes and all(rows == cols <= k for rows, cols in sizes)
 
 
 class TestExtremeMagnitudes:
