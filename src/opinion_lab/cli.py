@@ -162,15 +162,15 @@ def cmd_analyze(args) -> int:
             raise InputError(f"{args.trajectory}: not dense; record it with --record-every 1")
     else:
         traj = simulate(state, max_steps=args.max_steps)
-    _, c, _, f, la = analyze_final_topology(traj)
-    report = {"leaders": la.to_json(c)}
+    la = analyze_final_topology(traj)
+    report = {"leaders": la.to_json()}
     # The rate check needs its window inside the final topology epoch.
     window = min(args.window, len(traj.times) - traj.tail_index())
     if window >= 10:
-        report["rates"] = [vars(v) for v in verify_rate_prediction(traj, c, f, la, window=window)]
-    report["directions"] = [vars(v) for v in verify_direction_prediction(traj, c, f, la)]
+        report["rates"] = [vars(v) for v in verify_rate_prediction(traj, la, window=window)]
+    report["directions"] = [vars(v) for v in verify_direction_prediction(traj, la)]
     if len(traj.times) >= 2:
-        verdict = pseudo_stable_check(traj, f)
+        verdict = pseudo_stable_check(traj, traj.limit)
         report["pseudo_stable"] = {
             "holds_from": verdict.holds_from,
             "fixed_set": sorted(verdict.fixed_set),

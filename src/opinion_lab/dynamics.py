@@ -56,7 +56,8 @@ class Trajectory:
     ``record_every=1``.  ``topology_epochs`` holds ``(start_time, hash)``
     for every digraph change, recorded exactly even when states are
     downsampled, so every recorded state lies in a recorded epoch.
-    ``final_epoch`` is the ``Epoch`` of the final state; it is not
+    ``final_epoch`` is the ``Epoch`` of the final state and ``limit`` the
+    final state's fvct, from that epoch's decomposition; neither is
     serialised.
     """
 
@@ -72,6 +73,10 @@ class Trajectory:
     @property
     def n(self) -> int:
         return len(self.bounds)
+
+    @cached_property
+    def limit(self) -> np.ndarray:
+        return fvct_canonical(self.final_epoch.decomposition, self.states[-1])
 
     def final_state(self) -> OpinionState:
         return OpinionState(self.states[-1], self.bounds, self.kind)

@@ -8,9 +8,9 @@ from typing import Optional
 
 import numpy as np
 
-from opinion_lab.dynamics import Trajectory, per_step_factor
+from opinion_lab.dynamics import Epoch, Trajectory, per_step_factor
 from opinion_lab.graph import Classification
-from opinion_lab.matrix import CanonicalDecomposition, fvct_canonical, spectral_radius
+from opinion_lab.matrix import spectral_radius
 
 RESIDUAL_FLOOR = 1e-13
 
@@ -19,13 +19,14 @@ RESIDUAL_FLOOR = 1e-13
 class LeaderAssignment:
     """Per open SCC: its open successor set, spectral radius, and leader.
 
-    All SCC ids index the classification's SCC list, and ``open_sccs``
-    ascends.  The successor set includes the SCC itself; the leader is the
-    member with the largest spectral radius, ties resolved toward the SCC
-    itself when it attains the maximum, else toward the SCC with the
-    smallest member index.
+    All SCC ids index the SCC list of ``classification``, the one the
+    assignment was computed from, and ``open_sccs`` ascends.  The successor
+    set includes the SCC itself; the leader is the member with the largest
+    spectral radius, ties resolved toward the SCC itself when it attains the
+    maximum, else toward the SCC with the smallest member index.
     """
 
+    classification: Classification
     open_sccs: tuple
     successor_sets: dict
     radii: dict
@@ -34,12 +35,12 @@ class LeaderAssignment:
     def leader_radius(self, scc_id: int) -> float:
         return self.radii[self.leaders[scc_id]]
 
-    def to_json(self, classification: Classification) -> dict:
+    def to_json(self) -> dict:
         return {
             "open_sccs": [
                 {
                     "id": k,
-                    "members": list(classification.sccs[k]),
+                    "members": list(self.classification.sccs[k]),
                     "radius": self.radii[k],
                     "successors": sorted(self.successor_sets[k]),
                     "leader_id": self.leaders[k],
@@ -50,11 +51,11 @@ class LeaderAssignment:
         }
 
 
-def leader_assignment(
-    c: Classification, d: CanonicalDecomposition
-) -> LeaderAssignment:
+def leader_assignment(epoch: Epoch) -> LeaderAssignment:
     """Compute open-successor sets by condensation reachability in one pass
-    and pick each SCC's leader by largest spectral radius."""
+    and pick each SCC's leader by largest spectral radius, reading the
+    classification and the decomposition from ``epoch``."""
+    c, d = epoch.digraph.classification, epoch.decomposition
     radii = {}
     for k, sl in d.open_block_slices():
         radii[k] = spectral_radius(d.Theta[sl, sl])
@@ -78,6 +79,7 @@ def leader_assignment(
             candidates = [m for m in successor_sets[k] if radii[m] == best]
             leaders[k] = min(candidates, key=lambda m: c.sccs[m][0])
     return LeaderAssignment(
+        classification=c,
         open_sccs=d.open_sccs,
         successor_sets=successor_sets,
         radii=radii,
@@ -85,13 +87,9 @@ def leader_assignment(
     )
 
 
-def analyze_final_topology(traj: Trajectory):
-    """Digraph, classification, decomposition, fvct, and leaders at the
-    final state's topology, which is its final epoch's."""
-    epoch = traj.final_epoch
-    c, d = epoch.digraph.classification, epoch.decomposition
-    f = fvct_canonical(d, traj.states[-1])
-    return epoch.digraph, c, d, f, leader_assignment(c, d)
+def analyze_final_topology(traj: Trajectory) -> LeaderAssignment:
+    """The leaders at the final state's topology, which is its final epoch's."""
+    return leader_assignment(traj.final_epoch)
 
 
 @dataclass(frozen=True)
@@ -105,12 +103,10 @@ class RateVerdict:
     excluded: bool
 
 
-def verify_rate_prediction(
-    traj: Trajectory, c: Classification, f: np.ndarray, la: LeaderAssignment, window: int = 10
-) -> list:
+def verify_rate_prediction(traj: Trajectory, la: LeaderAssignment, window: int = 10) -> list:
     """Compare end-of-window per-step factors of open-minded agents against
-    their leader's spectral radius.  ``c``, ``f`` and ``la`` are the final
-    topology's pieces from ``analyze_final_topology``.
+    their leader's spectral radius, with the leaders ``la`` of the final
+    topology and the residuals taken to ``traj.limit``.
 
     Agents whose residual to the constant-topology limit has fallen below
     the tracking floor are flagged excluded rather than scored.
@@ -126,13 +122,13 @@ def verify_rate_prediction(
     if len(traj.times) - window < traj.tail_index():
         raise ValueError("topology changed inside the analysis window")
 
-    factors = per_step_factor(traj.states[-2], traj.states[-1], f, tiny=RESIDUAL_FLOOR)
+    factors = per_step_factor(traj.states[-2], traj.states[-1], traj.limit, tiny=RESIDUAL_FLOOR)
 
     out = []
     for k in la.open_sccs:
         lead = la.leaders[k]
         lam = la.radii[lead]
-        for i in c.sccs[k]:
+        for i in la.classification.sccs[k]:
             fac = factors[i]
             if fac is None:
                 out.append(RateVerdict(i, k, lead, lam, None, None, True))
@@ -151,19 +147,17 @@ class DirectionVerdict:
     matches_from: Optional[int]
 
 
-def verify_direction_prediction(
-    traj: Trajectory, c: Classification, f: np.ndarray, la: LeaderAssignment
-) -> list:
+def verify_direction_prediction(traj: Trajectory, la: LeaderAssignment) -> list:
     """For followers with strictly smaller radius than their leader, find
     the earliest recorded time after which the followers' residual signs
-    agree with the leader's (``c``, ``f``, ``la`` as for the rate check).
+    agree with the leader's (``la`` and the limit as for the rate check).
 
     Pairs with equal spectral radii are reported as not applicable.
     """
     if not traj.is_dense():
         raise ValueError("direction analysis needs densely recorded trajectories")
     k0 = traj.tail_index()
-    tail, f = traj.states[k0:], np.asarray(f)
+    tail, f, c = traj.states[k0:], traj.limit, la.classification
 
     out = []
     for k in la.open_sccs:

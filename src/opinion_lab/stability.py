@@ -10,7 +10,6 @@ from typing import Optional
 import numpy as np
 
 from opinion_lab.dynamics import Epoch, Termination, Trajectory
-from opinion_lab.matrix import fvct_canonical
 from opinion_lab.state import Model, OpinionState
 
 EQUILIBRIUM_TOL = 1e-10  # the largest max|Ay - y| of a state the checks call an equilibrium
@@ -169,13 +168,13 @@ def check_limit_equilibrium(
     traj: Trajectory,
     residual_tol: float = 1e-8,
 ) -> LimitEquilibriumVerdict:
-    """Take the final state's fvct as the limit and, when its minimum
-    equi-topology distance is positive, confirm the tail topology matches
-    and the limit is an equilibrium within ``EQUILIBRIUM_TOL``."""
-    final, epoch = traj.final_state(), traj.final_epoch
-    x_inf = fvct_canonical(epoch.decomposition, final.opinions)
+    """Take the final state's fvct, ``traj.limit``, as the limit and, when
+    its minimum equi-topology distance is positive, confirm the tail
+    topology matches and the limit is an equilibrium within
+    ``EQUILIBRIUM_TOL``."""
+    epoch, x_inf = traj.final_epoch, traj.limit
     if traj.termination is Termination.MAX_STEPS:
-        residual = float(np.max(np.abs(final.opinions - x_inf)))
+        residual = float(np.max(np.abs(traj.states[-1] - x_inf)))
         if residual > residual_tol:
             raise ValueError(
                 f"trajectory not converged: residual {residual:.3e} "

@@ -121,7 +121,8 @@ def produce_artifacts(out_dir):
     t0 = time.perf_counter()
     state2 = eight_agent_state()
     traj2 = simulate(state2, max_steps=400, limit_tol=0.0)
-    _, c2, d2, f2, la2 = analyze_final_topology(traj2)
+    la2 = analyze_final_topology(traj2)
+    c2, d2, f2 = la2.classification, traj2.final_epoch.decomposition, traj2.limit
     factors = {}
     for k in range(len(traj2.times) - 1):
         fac = per_step_factor(
@@ -129,7 +130,7 @@ def produce_artifacts(out_dir):
         )[7]
         if fac is not None:
             factors[traj2.times[k]] = fac
-    directions = verify_direction_prediction(traj2, c2, f2, la2)
+    directions = verify_direction_prediction(traj2, la2)
     data["c2"] = {
         "classification": c2,
         "decomp": d2,

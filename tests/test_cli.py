@@ -8,7 +8,7 @@ from opinion_lab.dynamics import Termination, simulate
 from opinion_lab.experiment import draw_state
 from opinion_lab.state import Model, OpinionState
 
-from conftest import grid_state, random_state
+from conftest import count_calls, grid_state, random_state
 
 
 @pytest.fixture
@@ -164,6 +164,7 @@ class TestOtherCommands:
         self, three_agent_json, monkeypatch, capsys
     ):
         from opinion_lab import cli, leader
+        from opinion_lab.matrix import fvct_canonical
 
         original = leader.analyze_final_topology
         calls = []
@@ -174,11 +175,14 @@ class TestOtherCommands:
 
         monkeypatch.setattr(cli, "analyze_final_topology", counted)
         monkeypatch.setattr(leader, "analyze_final_topology", counted)
+        solves = count_calls(monkeypatch, fvct_canonical)
         rc = main(["analyze", "--state", three_agent_json])
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
         assert "rates" in out and "directions" in out
         assert len(calls) == 1
+        # The tolerance stop's fvct of its epoch, and the trajectory's limit.
+        assert solves["fvct_canonical"] <= 2
 
     def test_analyze_classifies_the_final_topology_once(
         self, three_agent_json, monkeypatch, capsys

@@ -6,15 +6,12 @@ import pytest
 from opinion_lab import (
     Model,
     OpinionState,
-    adjacency_matrix,
     build_digraph,
-    canonical_decomposition,
-    classify,
-    fvct,
+    check_limit_equilibrium,
     simulate,
 )
 from opinion_lab.cli import load_trajectory_csv
-from opinion_lab.dynamics import Termination, Trajectory
+from opinion_lab.dynamics import Epoch, Termination, Trajectory, pseudo_stable_check
 from opinion_lab.graph import SccClass
 from opinion_lab.leader import (
     DirectionVerdict,
@@ -24,8 +21,10 @@ from opinion_lab.leader import (
     verify_direction_prediction,
     verify_rate_prediction,
 )
+from opinion_lab.matrix import canonical_decomposition, fvct_canonical
 
 from conftest import (
+    count_calls,
     loop_verify_direction_prediction,
     random_state,
     reachability_oracle,
@@ -54,10 +53,8 @@ def jittered_eight_agent_state(rng):
 
 
 def assign(state):
-    g = build_digraph(state)
-    c = classify(g)
-    d = canonical_decomposition(adjacency_matrix(g), c)
-    return c, leader_assignment(c, d)
+    la = leader_assignment(Epoch(0, state))
+    return la.classification, la
 
 
 class TestLeaderAssignment:
@@ -127,7 +124,7 @@ class TestLeaderAssignment:
 
     def test_json_export(self, fig62_state):
         c, la = assign(fig62_state)
-        data = la.to_json(c)
+        data = la.to_json()
         entries = {tuple(e["members"]): e for e in data["open_sccs"]}
         assert set(entries) == {(4, 5), (6,), (7,)}
         assert entries[(7,)]["leader_radius"] == pytest.approx(0.5)
@@ -137,7 +134,8 @@ class TestLeaderAssignment:
 class TestAnalyzeFinalTopology:
     def test_three_agent_pieces(self, fig41_state):
         traj = simulate(fig41_state, max_steps=100)
-        g, c, d, f, la = analyze_final_topology(traj)
+        la = analyze_final_topology(traj)
+        c, f = la.classification, traj.limit
         assert np.allclose(f, [0.0, 0.5, 1.0], atol=1e-12)
         assert c.nodes_of_class(SccClass.OPEN) == [1]
         assert len(la.open_sccs) == 1
@@ -151,14 +149,17 @@ class TestAnalyzeFinalTopology:
             if len(traj.topology_epochs) != 1:
                 continue
             checked += 1
-            _, c, _, _, _ = analyze_final_topology(traj)
+            c = analyze_final_topology(traj).classification
             assert not any(cl is SccClass.MODERATE for cl in c.classes)
         assert checked > 20
 
 
-def assert_same_pieces(got, want):
-    """The five pieces of the final topology, equal bit for bit."""
-    (g, c, d, f, la), (g2, c2, d2, f2, la2) = got, want
+def assert_same_pieces(traj, want):
+    """The five pieces of the final topology, from the trajectory's final
+    epoch, its limit and its leaders, equal bit for bit to ``want``."""
+    la, epoch = analyze_final_topology(traj), traj.final_epoch
+    g, c, d, f = epoch.digraph, la.classification, epoch.decomposition, traj.limit
+    g2, c2, d2, f2, la2 = want
     assert g == g2 and c == c2 and la == la2
     for fld in dataclasses.fields(d):
         a, b = getattr(d, fld.name), getattr(d2, fld.name)
@@ -173,23 +174,25 @@ class TestFinalTopologyFromTheEpoch:
     """The final epoch's cached classification against classifying the
     final state afresh."""
 
-    def test_tolerance_stop_reuses_the_epoch(self, fig41_state):
+    def test_tolerance_stop_reuses_the_epoch(self, fig41_state, monkeypatch):
         traj = simulate(fig41_state)
         assert traj.termination is Termination.TOLERANCE_REACHED
+        d = traj.final_epoch.decomposition
+        counts = count_calls(monkeypatch, canonical_decomposition)
         got = analyze_final_topology(traj)
-        assert got[1] is traj.final_epoch.digraph.classification
-        assert got[2] is traj.final_epoch.decomposition
-        assert_same_pieces(got, reference_analyze_final_topology(traj))
+        assert got.classification is traj.final_epoch.digraph.classification
+        assert traj.final_epoch.decomposition is d and counts["canonical_decomposition"] == 0
+        assert_same_pieces(traj, reference_analyze_final_topology(traj))
 
     def test_fixed_stop(self, finite_fix_state):
         traj = simulate(finite_fix_state, limit_tol=0.0)
         assert traj.termination is Termination.FIXED_STATE
-        assert_same_pieces(analyze_final_topology(traj), reference_analyze_final_topology(traj))
+        assert_same_pieces(traj, reference_analyze_final_topology(traj))
 
     def test_max_steps_stop(self, fig62_state):
         traj = simulate(fig62_state, max_steps=30, limit_tol=0.0)
         assert traj.termination is Termination.MAX_STEPS
-        assert_same_pieces(analyze_final_topology(traj), reference_analyze_final_topology(traj))
+        assert_same_pieces(traj, reference_analyze_final_topology(traj))
 
     def test_max_steps_stop_past_the_last_epoch(self):
         # Stop each run at one of its epoch starts: the recorded final
@@ -205,8 +208,8 @@ class TestFinalTopologyFromTheEpoch:
                 assert traj.final_epoch.digraph == build_digraph(traj.final_state())
                 assert traj.final_epoch.start == traj.topology_epochs[-1][0] == t
                 got = analyze_final_topology(traj)
-                assert got[1] is traj.final_epoch.digraph.classification
-                assert_same_pieces(got, reference_analyze_final_topology(traj))
+                assert got.classification is traj.final_epoch.digraph.classification
+                assert_same_pieces(traj, reference_analyze_final_topology(traj))
                 checked += 1
         assert checked >= 20
 
@@ -216,7 +219,7 @@ class TestFinalTopologyFromTheEpoch:
         for _ in range(60):
             traj = simulate(random_state(rng, max_n=12), max_steps=int(rng.integers(1, 200)))
             stops.add(traj.termination)
-            assert_same_pieces(analyze_final_topology(traj), reference_analyze_final_topology(traj))
+            assert_same_pieces(traj, reference_analyze_final_topology(traj))
         assert stops == set(Termination)
 
     def test_loaded_trajectory(self, fig41_state, tmp_path):
@@ -224,14 +227,29 @@ class TestFinalTopologyFromTheEpoch:
         simulate(fig41_state, max_steps=40, limit_tol=0.0).to_csv(path)
         traj = load_trajectory_csv(str(path), fig41_state)
         assert (traj.final_epoch.start, traj.final_epoch.label) == traj.topology_epochs[-1]
-        assert_same_pieces(analyze_final_topology(traj), reference_analyze_final_topology(traj))
+        assert_same_pieces(traj, reference_analyze_final_topology(traj))
+
+
+class TestOneLimitPerTrajectory:
+    def test_tail_analyses_solve_the_final_state_once(self, fig62_state, monkeypatch):
+        # With the tolerance stop off, simulate solves no fvct.  The leaders,
+        # both verify functions, the pseudo-stability check and the
+        # limit-equilibrium check all read traj.limit: one solve between them.
+        traj = simulate(fig62_state, max_steps=36, limit_tol=0.0)
+        counts = count_calls(monkeypatch, fvct_canonical)
+        la = analyze_final_topology(traj)
+        verify_rate_prediction(traj, la)
+        verify_direction_prediction(traj, la)
+        assert pseudo_stable_check(traj, traj.limit).holds_from is not None
+        assert check_limit_equilibrium(traj).x_infinity is traj.limit
+        assert counts["fvct_canonical"] == 1
 
 
 class TestRatePrediction:
     def test_eight_agent_factors(self, fig62_state):
         traj = simulate(fig62_state, max_steps=36, limit_tol=0.0)
-        _, c, _, f, la = analyze_final_topology(traj)
-        verdicts = {v.agent: v for v in verify_rate_prediction(traj, c, f, la)}
+        la = analyze_final_topology(traj)
+        verdicts = {v.agent: v for v in verify_rate_prediction(traj, la)}
         assert verdicts[4].factor == pytest.approx(0.5, abs=1e-3)
         assert verdicts[5].factor == pytest.approx(0.5, abs=1e-3)
         # Agent 7 converges at its leader's rate, five per-step factors
@@ -242,33 +260,33 @@ class TestRatePrediction:
 
     def test_fast_agent_factor_earlier_window(self, fig62_state):
         traj = simulate(fig62_state, max_steps=25, limit_tol=0.0)
-        _, c, _, f, la = analyze_final_topology(traj)
-        verdicts = {v.agent: v for v in verify_rate_prediction(traj, c, f, la)}
+        la = analyze_final_topology(traj)
+        verdicts = {v.agent: v for v in verify_rate_prediction(traj, la)}
         assert verdicts[6].factor == pytest.approx(1 / 3, abs=1e-3)
 
     def test_underflowed_agents_are_excluded(self, fig62_state):
         traj = simulate(fig62_state, max_steps=300, limit_tol=0.0)
-        _, c, _, f, la = analyze_final_topology(traj)
-        verdicts = verify_rate_prediction(traj, c, f, la)
+        la = analyze_final_topology(traj)
+        verdicts = verify_rate_prediction(traj, la)
         assert all(v.excluded and v.factor is None for v in verdicts)
 
     def test_three_agent_rate(self, fig41_state):
         traj = simulate(fig41_state, max_steps=20, limit_tol=0.0)
-        _, c, _, f, la = analyze_final_topology(traj)
-        (v,) = verify_rate_prediction(traj, c, f, la)
+        la = analyze_final_topology(traj)
+        (v,) = verify_rate_prediction(traj, la)
         assert v.agent == 1
         assert v.factor == pytest.approx(1 / 3, abs=1e-6)
 
     def test_window_validation(self, fig41_state):
         traj = simulate(fig41_state, max_steps=100)
-        _, c, _, f, la = analyze_final_topology(traj)
+        la = analyze_final_topology(traj)
         with pytest.raises(ValueError):
-            verify_rate_prediction(traj, c, f, la, window=5)
+            verify_rate_prediction(traj, la, window=5)
         with pytest.raises(ValueError):
-            verify_rate_prediction(traj, c, f, la, window=10**6)
+            verify_rate_prediction(traj, la, window=10**6)
         sparse = simulate(fig41_state, max_steps=100, record_every=3)
         with pytest.raises(ValueError):
-            verify_rate_prediction(sparse, c, f, la, window=10)
+            verify_rate_prediction(sparse, la, window=10)
 
     def test_random_rates_match_leader_radius(self):
         # Stubborn anchors with wide-bound followers give long constant
@@ -281,8 +299,8 @@ class TestRatePrediction:
             tail = traj.times[-1] - traj.topology_epochs[-1][0]
             if tail < 12 or traj.fixed_at is not None:
                 continue
-            _, c, _, f, la = analyze_final_topology(traj)
-            for v in verify_rate_prediction(traj, c, f, la, window=10):
+            la = analyze_final_topology(traj)
+            for v in verify_rate_prediction(traj, la, window=10):
                 if v.excluded:
                     continue
                 checked += 1
@@ -293,8 +311,9 @@ class TestRatePrediction:
 class TestDirectionPrediction:
     def test_eight_agent_follower_tracks_leader(self, fig62_state):
         traj = simulate(fig62_state, max_steps=50, limit_tol=0.0)
-        _, c, _, f, la = analyze_final_topology(traj)
-        verdicts = verify_direction_prediction(traj, c, f, la)
+        la = analyze_final_topology(traj)
+        c = la.classification
+        verdicts = verify_direction_prediction(traj, la)
         assert len(verdicts) == 1
         (v,) = verdicts
         assert c.sccs[v.follower_id] == (7,)
@@ -305,32 +324,34 @@ class TestDirectionPrediction:
 
     def test_self_led_sccs_produce_no_verdicts(self, fig41_state):
         traj = simulate(fig41_state, max_steps=50)
-        _, c, _, f, la = analyze_final_topology(traj)
-        assert verify_direction_prediction(traj, c, f, la) == []
+        la = analyze_final_topology(traj)
+        assert verify_direction_prediction(traj, la) == []
 
     def test_equal_radius_pair_not_applicable(self, fig62_state):
         # Exercise the explicit inapplicability branch with a doctored
         # assignment that points the fast follower at an equal-rate peer.
         traj = simulate(fig62_state, max_steps=50, limit_tol=0.0)
-        _, c, _, f, la = analyze_final_topology(traj)
+        la = analyze_final_topology(traj)
+        c = la.classification
         ids = {c.sccs[k]: k for k in la.open_sccs}
         doctored = LeaderAssignment(
+            classification=c,
             open_sccs=la.open_sccs,
             successor_sets=la.successor_sets,
             radii={**la.radii, ids[(6,)]: la.radii[ids[(4, 5)]]},
             leaders={**la.leaders, ids[(6,)]: ids[(4, 5)]},
         )
         verdicts = {
-            v.follower_id: v for v in verify_direction_prediction(traj, c, f, doctored)
+            v.follower_id: v for v in verify_direction_prediction(traj, doctored)
         }
         v = verdicts[ids[(6,)]]
         assert v == DirectionVerdict(ids[(6,)], ids[(4, 5)], False, None)
 
     def test_dense_recording_required(self, fig62_state):
         traj = simulate(fig62_state, max_steps=50, record_every=2, limit_tol=0.0)
-        _, c, _, f, la = analyze_final_topology(traj)
+        la = analyze_final_topology(traj)
         with pytest.raises(ValueError):
-            verify_direction_prediction(traj, c, f, la)
+            verify_direction_prediction(traj, la)
 
     def test_follower_residual_signs_eventually_match(self):
         # Independent check of the claim behind the verdicts: once a match
@@ -343,8 +364,9 @@ class TestDirectionPrediction:
             tail = traj.times[-1] - traj.topology_epochs[-1][0]
             if tail < 12 or traj.fixed_at is not None:
                 continue
-            _, c, _, f, la = analyze_final_topology(traj)
-            for v in verify_direction_prediction(traj, c, f, la):
+            la = analyze_final_topology(traj)
+            c, f = la.classification, traj.limit
+            for v in verify_direction_prediction(traj, la):
                 if not v.applicable or v.matches_from is None:
                     continue
                 checked += 1
@@ -370,37 +392,39 @@ class TestDirectionScan:
     replaced."""
 
     @staticmethod
-    def compare(traj, c, f, la):
-        got = verify_direction_prediction(traj, c, f, la)
-        assert got == loop_verify_direction_prediction(traj, c, f, la)
+    def compare(traj, la):
+        got = verify_direction_prediction(traj, la)
+        assert got == loop_verify_direction_prediction(traj, la.classification, traj.limit, la)
         return got
 
     @pytest.mark.parametrize("max_steps", [3, 20, 50, 300])
     def test_eight_agent(self, fig62_state, max_steps):
         traj = simulate(fig62_state, max_steps=max_steps, limit_tol=0.0)
-        _, c, _, f, la = analyze_final_topology(traj)
-        assert len(self.compare(traj, c, f, la)) == 1
+        la = analyze_final_topology(traj)
+        assert len(self.compare(traj, la)) == 1
 
     def test_jittered_eight_agent_states(self):
         rng = np.random.default_rng(149)
         verdicts = []
         for _ in range(150):
             traj = simulate(jittered_eight_agent_state(rng), max_steps=40, limit_tol=0.0)
-            _, c, _, f, la = analyze_final_topology(traj)
-            verdicts += self.compare(traj, c, f, la)
+            la = analyze_final_topology(traj)
+            verdicts += self.compare(traj, la)
         assert sum(v.applicable and v.matches_from is not None for v in verdicts) > 10
 
     def test_equal_radius_pair(self, fig62_state):
         traj = simulate(fig62_state, max_steps=50, limit_tol=0.0)
-        _, c, _, f, la = analyze_final_topology(traj)
+        la = analyze_final_topology(traj)
+        c = la.classification
         ids = {c.sccs[k]: k for k in la.open_sccs}
         doctored = LeaderAssignment(
+            classification=c,
             open_sccs=la.open_sccs,
             successor_sets=la.successor_sets,
             radii={**la.radii, ids[(6,)]: la.radii[ids[(4, 5)]]},
             leaders={**la.leaders, ids[(6,)]: ids[(4, 5)]},
         )
-        verdicts = self.compare(traj, c, f, doctored)
+        verdicts = self.compare(traj, doctored)
         assert any(not v.applicable for v in verdicts)
 
     @staticmethod
@@ -426,8 +450,8 @@ class TestDirectionScan:
             state = self.grouped_state(rng) if k % 4 else random_state(rng, max_n=10)
             limit_tol = (0.0, 1e-12)[k % 3 == 0]
             traj = simulate(state, max_steps=int(rng.integers(2, 80)), limit_tol=limit_tol)
-            _, c, _, f, la = analyze_final_topology(traj)
-            verdicts += self.compare(traj, c, f, la)
+            la = analyze_final_topology(traj)
+            verdicts += self.compare(traj, la)
         applicable = [v for v in verdicts if v.applicable]
         assert len(applicable) > 20
         assert any(v.matches_from is None for v in applicable)
@@ -436,7 +460,9 @@ class TestDirectionScan:
     def test_no_start_holds_to_the_end(self, fig62_state):
         # The leader's residual sign flips between the two states and the
         # follower sits on the other side each time: no start qualifies.
-        _, c, _, f, la = analyze_final_topology(simulate(fig62_state, max_steps=50, limit_tol=0.0))
+        run = simulate(fig62_state, max_steps=50, limit_tol=0.0)
+        la = analyze_final_topology(run)
+        c, f = la.classification, run.limit
         (follower,) = [k for k in la.open_sccs if la.leaders[k] != k]
         lead_nodes, foll_nodes = list(c.sccs[la.leaders[follower]]), list(c.sccs[follower])
         states = np.tile(f, (2, 1))
@@ -447,5 +473,6 @@ class TestDirectionScan:
             bounds=fig62_state.bounds, kind=Model.SBC, times=[0, 1], states=states,
             topology_epochs=[(0, "tail")],
         )
-        (v,) = self.compare(traj, c, f, la)
+        traj.limit = f  # a doctored tail around the run's limit
+        (v,) = self.compare(traj, la)
         assert v.applicable and v.matches_from is None

@@ -17,6 +17,7 @@ from opinion_lab import (
     m_star,
     spectral_radius,
 )
+from opinion_lab.dynamics import Epoch
 from opinion_lab.leader import leader_assignment
 from opinion_lab.matrix import fvct_canonical, left_perron_vector
 
@@ -117,7 +118,7 @@ class TestCanonicalDecomposition:
         d = canonical_decomposition(a, c)
         assert c.sccs == ((3,), (2,), (0,), (1,))
         assert d.open_sccs == (1, 2, 3)
-        assert leader_assignment(c, d).open_sccs == (1, 2, 3)
+        assert leader_assignment(Epoch(0, state)).open_sccs == (1, 2, 3)
         assert_theta_block_lower_triangular(d)
         assert np.array_equal(d.Theta, [[0.5, 0, 0], [0.5, 0.5, 0], [0, 0, 0.5]])
         np.testing.assert_allclose(

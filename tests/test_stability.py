@@ -23,6 +23,7 @@ from opinion_lab import (
     strongly_connected_components,
 )
 from opinion_lab.graph import SccClass, proximity_mask
+from opinion_lab.matrix import fvct_canonical
 
 from conftest import (
     closure_weak_components,
@@ -341,6 +342,16 @@ class TestLimitEquilibrium:
             assert got.tobytes() == want.tobytes()
             assert counts["classify"] == counts["build_digraph"] == 0
             assert counts["_distances"] == 1
+
+    def test_limit_is_the_trajectorys(self):
+        # The verdict holds the trajectory's one fvct of its final state:
+        # the final epoch's decomposition applied to the final state.
+        for state in edge_states(np.random.default_rng(241)):
+            traj = simulate(state, max_steps=60)
+            v = check_limit_equilibrium(traj, residual_tol=math.inf)
+            assert v.x_infinity is traj.limit
+            want = fvct_canonical(traj.final_epoch.decomposition, traj.states[-1])
+            assert v.x_infinity.tobytes() == want.tobytes()
 
     def test_finite_time_agreement_premise_holds(self):
         state = OpinionState(
