@@ -11,6 +11,7 @@ import csv
 import json
 import logging
 import math
+import os
 import sys
 from functools import cache
 
@@ -20,6 +21,7 @@ from opinion_lab.dynamics import Trajectory, _epoch_at, pseudo_stable_check, sim
 from opinion_lab.experiment import ExperimentConfig, emit_results, run_campaign
 from opinion_lab.graph import build_digraph
 from opinion_lab.leader import (
+    RATE_MIN_STATES,
     analyze_final_topology,
     verify_direction_prediction,
     verify_rate_prediction,
@@ -164,10 +166,8 @@ def cmd_analyze(args) -> int:
         traj = simulate(state, max_steps=args.max_steps)
     la = analyze_final_topology(traj)
     report = {"leaders": la.to_json()}
-    # The rate check needs its window inside the final topology epoch.
-    window = min(args.window, len(traj.times) - traj.tail_index())
-    if window >= 10:
-        report["rates"] = [vars(v) for v in verify_rate_prediction(traj, la, window=window)]
+    if len(traj.times) - traj.tail_index() >= RATE_MIN_STATES:
+        report["rates"] = [vars(v) for v in verify_rate_prediction(traj, la)]
     report["directions"] = [vars(v) for v in verify_direction_prediction(traj, la)]
     if len(traj.times) >= 2:
         verdict = pseudo_stable_check(traj, traj.limit)
@@ -185,22 +185,21 @@ def cmd_experiment(args) -> int:
         cfg = ExperimentConfig.from_json_file(args.config)
     except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
         raise InputError(f"{args.config}: {exc}") from exc
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"--out {args.out}: {exc}") from exc
     records = run_campaign(cfg)
     results_path, aggregate_path = emit_results(records, args.out)
     _emit({"runs": len(records), "results": results_path, "aggregate": aggregate_path})
     return 0
 
 
-def positive_int(text: str, least: int = 1) -> int:
+def positive_int(text: str) -> int:
     value = int(text)
-    if value < least:
-        raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
-
-
-def rate_window(text: str) -> int:
-    """A rate window: ``verify_rate_prediction`` needs at least 10 steps."""
-    return positive_int(text, 10)
 
 
 def tolerance(text: str) -> float:
@@ -249,9 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="leader/rate/direction analysis")
     add_state_flags(p)
-    p.add_argument("--trajectory", default=None, help="trajectory CSV (optional)")
-    p.add_argument("--max-steps", dest="max_steps", type=positive_int, default=10_000)
-    p.add_argument("--window", type=rate_window, default=50)
+    # A saved trajectory is never stepped.
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--trajectory", default=None, help="trajectory CSV (optional)")
+    source.add_argument("--max-steps", dest="max_steps", type=positive_int, default=10_000)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("experiment", help="seeded Monte Carlo campaign")

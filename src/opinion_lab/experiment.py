@@ -79,6 +79,9 @@ class ExperimentConfig:
             object.__setattr__(self, name, _integer(name, getattr(self, name), least))
         counts = tuple(_integer("agent_counts", n, 1) for n in self.agent_counts)
         object.__setattr__(self, "agent_counts", counts)
+        for name in ("models", "agent_counts"):
+            if len(set(items := getattr(self, name))) < len(items):
+                raise ValueError(f"{name} must not repeat an entry, got [{', '.join(map(str, items))}]")
         for name, least in (("opinion_range", -math.inf), ("bounds_range", 0.0)):
             given = getattr(self, name)
             ends = tuple(given) if np.iterable(given) else (given,)
@@ -253,12 +256,12 @@ def emit_results(records, out_dir) -> tuple:
     """Write per-run and per-(model, n) aggregate CSVs; returns both paths."""
     if not records:
         raise ValueError("no records to emit")
-    os.makedirs(out_dir, exist_ok=True)
     results_path = os.path.join(out_dir, "results.csv")
     aggregate_path = os.path.join(out_dir, "aggregate.csv")
 
     records = sorted(records, key=lambda r: r.coordinates)
     try:
+        os.makedirs(out_dir, exist_ok=True)
         with open(results_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(RunRecord.HEADER)

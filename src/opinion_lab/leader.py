@@ -13,6 +13,7 @@ from opinion_lab.graph import Classification
 from opinion_lab.matrix import spectral_radius
 
 RESIDUAL_FLOOR = 1e-13
+RATE_MIN_STATES = 10
 
 
 @dataclass(frozen=True)
@@ -103,24 +104,19 @@ class RateVerdict:
     excluded: bool
 
 
-def verify_rate_prediction(traj: Trajectory, la: LeaderAssignment, window: int = 10) -> list:
-    """Compare end-of-window per-step factors of open-minded agents against
-    their leader's spectral radius, with the leaders ``la`` of the final
-    topology and the residuals taken to ``traj.limit``.
+def verify_rate_prediction(traj: Trajectory, la: LeaderAssignment) -> list:
+    """Compare the last recorded per-step factors of open-minded agents
+    against their leader's spectral radius, with the leaders ``la`` of the
+    final topology and the residuals taken to ``traj.limit``.  The final
+    topology epoch must hold at least ``RATE_MIN_STATES`` recorded states.
 
     Agents whose residual to the constant-topology limit has fallen below
     the tracking floor are flagged excluded rather than scored.
     """
-    if window < 10:
-        raise ValueError("window must be >= 10 steps")
-    if len(traj.times) < window:
-        raise ValueError(
-            f"trajectory has {len(traj.times)} recorded steps, window={window}"
-        )
     if not traj.is_dense():
         raise ValueError("rate analysis needs densely recorded trajectories")
-    if len(traj.times) - window < traj.tail_index():
-        raise ValueError("topology changed inside the analysis window")
+    if (recorded := len(traj.times) - traj.tail_index()) < RATE_MIN_STATES:
+        raise ValueError(f"final topology epoch has {recorded} recorded states, needs {RATE_MIN_STATES}")
 
     factors = per_step_factor(traj.states[-2], traj.states[-1], traj.limit, tiny=RESIDUAL_FLOOR)
 

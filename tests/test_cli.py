@@ -6,6 +6,7 @@ import pytest
 from opinion_lab.cli import InputError, build_parser, load_state, load_trajectory_csv, main
 from opinion_lab.dynamics import Termination, simulate
 from opinion_lab.experiment import draw_state
+from opinion_lab.leader import RATE_MIN_STATES, analyze_final_topology, verify_rate_prediction
 from opinion_lab.state import Model, OpinionState
 
 from conftest import count_calls, grid_state, random_state
@@ -241,15 +242,51 @@ class TestOtherCommands:
         assert out["pseudo_stable"]["holds_from"] is not None
 
     def test_analyze_window_below_ten_is_input_error(self, tmp_path, capsys):
+        # analyze takes no rate window, and a saved trajectory no step limit.
         path = tmp_path / "four.json"
         path.write_text(json.dumps({"opinions": [0.0, 0.6, 1.0, 3.0], "bounds": [0.25, 1.0, 0.25, 0.5]}))
-        for window in ("5", "9"):
+        for window in ("0", "5", "9", "10", "50"):
             assert main(["analyze", "--state", str(path), "--window", window]) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert f"argument --window: must be >= 10, got {window}" in captured.err
-        assert main(["analyze", "--state", str(path), "--window", "10"]) == 0
+            assert f"unrecognized arguments: --window {window}" in captured.err
+        prefix = str(tmp_path / "run")
+        assert main(["simulate", "--state", str(path), "--out-prefix", prefix]) == 0
+        capsys.readouterr()
+        saved = ["--trajectory", prefix + "_trajectory.csv"]
+        for flags in (saved + ["--max-steps", "5"], ["--max-steps", "5"] + saved):
+            assert main(["analyze", "--state", str(path), *flags]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and "Traceback" not in captured.err
+            assert "not allowed with argument" in captured.err
+        assert main(["analyze", "--state", str(path)]) == 0
         assert "rates" in json.loads(capsys.readouterr().out)
+
+    def test_rate_check_needs_ten_states_in_the_final_epoch(self, tmp_path, capsys):
+        # Three topology changes, the last at t = 9, then a constant tail.
+        path = tmp_path / "late_tail.json"
+        path.write_text(json.dumps({"opinions": [0.62, 0.25, 0.4, 0.95], "bounds": [0.41, 0.37, 0.09, 0.08]}))
+        prefix = str(tmp_path / "run")
+        assert main(["simulate", "--state", str(path), "--out-prefix", prefix]) == 0
+        capsys.readouterr()
+        lines = open(prefix + "_trajectory.csv").read().splitlines(keepends=True)
+        state = load_state(str(path), "sbc")
+        for recorded in (9, 10, 11):
+            cut = tmp_path / f"cut{recorded}.csv"
+            # The header, then the states at t = 0 .. 8 + recorded.
+            cut.write_text("".join(lines[: 10 + recorded]))
+            traj = load_trajectory_csv(str(cut), state)
+            assert traj.topology_epochs[-1][0] == 9 and len(traj.times) - traj.tail_index() == recorded
+            la = analyze_final_topology(traj)
+            assert main(["analyze", "--state", str(path), "--trajectory", str(cut)]) == 0
+            out = json.loads(capsys.readouterr().out)
+            if recorded < RATE_MIN_STATES:
+                with pytest.raises(ValueError, match="final topology epoch has 9 recorded states, needs 10"):
+                    verify_rate_prediction(traj, la)
+                assert "rates" not in out
+            else:
+                verdicts = [vars(v) for v in verify_rate_prediction(traj, la)]
+                assert verdicts and out["rates"] == verdicts
 
     def test_analyze_prints_the_verdicts_as_asdict_would(self, tmp_path, capsys, monkeypatch):
         import dataclasses
@@ -266,11 +303,11 @@ class TestOtherCommands:
         path = tmp_path / "state.json"
         for opinions, bounds in states:
             path.write_text(json.dumps({"opinions": opinions, "bounds": bounds}))
-            assert main(["analyze", "--state", str(path), "--window", "10"]) == 0
+            assert main(["analyze", "--state", str(path)]) == 0
             shallow = capsys.readouterr().out
             # A module global named vars shadows the builtin inside cmd_analyze.
             monkeypatch.setattr(cli, "vars", dataclasses.asdict, raising=False)
-            assert main(["analyze", "--state", str(path), "--window", "10"]) == 0
+            assert main(["analyze", "--state", str(path)]) == 0
             assert capsys.readouterr().out == shallow and '"directions"' in shallow
             monkeypatch.delattr(cli, "vars")
 
@@ -535,6 +572,8 @@ class TestExperimentCommand:
             {"models": "sbc"},
             {"models": []},
             {"models": ["xyz"]},
+            {"agent_counts": [3, 4, 3]},
+            {"models": ["sbi", "sbi"]},
         ],
     )
     def test_malformed_config_is_input_error(self, tmp_path, capsys, field):
@@ -554,6 +593,21 @@ class TestExperimentCommand:
         err = capsys.readouterr().err
         assert err == f"input error: {cfg}: models must each be one of ['sbc', 'sbi'], got ['xyz']\n"
         assert not (tmp_path / "o").exists()
+
+    def test_unusable_out_fails_before_the_campaign(self, tmp_path, capsys, monkeypatch):
+        from opinion_lab import cli
+
+        campaigns = []
+        monkeypatch.setattr(cli, "run_campaign", campaigns.append)
+        cfg = self.write_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        for out in (taken, taken / "sub"):
+            assert main(["experiment", "--config", cfg, "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and "Traceback" not in captured.err
+            assert captured.err.startswith(f"input error: --out {out}: ")
+        assert campaigns == [] and taken.read_text() == "keep"
 
 
 class TestExitCodes:
@@ -587,18 +641,47 @@ class TestExitCodes:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
 
+    def test_runtime_failure_exits_2(self, three_agent_json, capsys, caplog, monkeypatch):
+        from opinion_lab import cli
+
+        def fail(state):
+            raise RuntimeError("no report")
+
+        monkeypatch.setattr(cli, "stability_report", fail)
+        assert main(["check", "--state", three_agent_json]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.endswith("error: no report\n")
+        assert "input error" not in captured.err
+        (record,) = caplog.records
+        assert record.getMessage() == "runtime failure" and record.exc_info[0] is RuntimeError
+
+    def test_unreadable_trajectory_is_input_error(self, three_agent_json, tmp_path, capsys):
+        cell = tmp_path / "cell.csv"
+        cell.write_text("t,x_0,x_1,x_2\n0,0.0,0.6,1.0\n1,0.0,abc,1.0\n")
+        missing = tmp_path / "missing.csv"
+        for path, message in (
+            (cell, f"{cell}:3: could not convert string to float: 'abc'"),
+            (missing, f"{missing}: [Errno 2] No such file or directory: '{missing}'"),
+        ):
+            assert main(["analyze", "--state", three_agent_json, "--trajectory", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == f"input error: {message}\n"
+
     def test_bad_flag_value(self, three_agent_json, capsys):
-        for cmd, flag, least in (
-            ("simulate", "--max-steps", 1),
-            ("simulate", "--record-every", 1),
-            ("analyze", "--max-steps", 1),
-            ("analyze", "--window", 10),
+        for cmd, flag in (
+            ("simulate", "--max-steps"),
+            ("simulate", "--record-every"),
+            ("analyze", "--max-steps"),
         ):
             rc = main([cmd, "--state", three_agent_json, flag, "0"])
             assert rc == 1
             err = capsys.readouterr().err
-            assert f"argument {flag}: must be >= {least}, got 0" in err
+            assert f"argument {flag}: must be >= 1, got 0" in err
             assert "Traceback" not in err
+        # analyze has no --window flag.
+        assert main(["analyze", "--state", three_agent_json, "--window", "0"]) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --window 0" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("flag", ["--fixed-tol", "--limit-tol"])
     @pytest.mark.parametrize("value", ["nan", "-1e-12", "inf", "-inf", "x"])

@@ -115,6 +115,10 @@ class TestWithOpinions:
         with pytest.raises(ValueError, match=message):
             fig41_state.with_opinions(y)
 
+    def test_a_state_needs_an_agent(self):
+        with pytest.raises(ValueError, match="at least one agent is required"):
+            OpinionState([], [])
+
 
 class TestStep:
     def test_hand_evaluated_average(self, fig41_state):

@@ -15,6 +15,7 @@ from opinion_lab import (
     run_seed,
     run_single,
 )
+from opinion_lab import experiment
 from opinion_lab.experiment import RunRecord
 from opinion_lab.stability import (
     equi_topology_distance,
@@ -77,6 +78,13 @@ class TestConfig:
             ("models", []), ("models", ()), ("models", 5),
         ):
             with pytest.raises(ValueError, match=name):
+                ExperimentConfig(**{"agent_counts": (5,), name: bad})
+        # Each model and each count appears once, compared after coercion.
+        for name, bad, named in (
+            ("agent_counts", (5, 5), "5, 5"), ("agent_counts", (5, np.int64(5), 3), "5, 5, 3"),
+            ("models", ("sbc", "sbc"), "sbc, sbc"), ("models", ("sbi", Model.SBC, "sbc"), "sbi, sbc, sbc"),
+        ):
+            with pytest.raises(ValueError, match=fr"{name} must not repeat an entry, got \[{named}\]"):
                 ExperimentConfig(**{"agent_counts": (5,), name: bad})
         # Each model is one of the model values.
         for bad in (["xyz"], ["sbc", "SBI"], [1], [None]):
@@ -151,6 +159,31 @@ class TestSeedsAndDraws:
             state = draw_state(Model.SBI, 6, run, 7)
             assert np.all(state.bounds > 0.0)
             assert equi_topology_distance(state).min() > 0.0
+
+    def test_boundary_draws_are_redrawn(self, monkeypatch, caplog):
+        # Pretend the first draw sits on a neighbor-rule boundary.
+        calls = []
+
+        def first_on_boundary(state):
+            calls.append(state)
+            eps = equi_topology_distance(state)
+            return np.zeros_like(eps) if len(calls) == 1 else eps
+
+        monkeypatch.setattr(experiment, "equi_topology_distance", first_on_boundary)
+        state = draw_state(Model.SBC, 6, 2, 42)
+        assert len(calls) == 2 and not np.array_equal(state.opinions, calls[0].opinions)
+        assert caplog.messages == [
+            "boundary draw (min equi-topology distance = 0) for sbc n=6 run=2; redrawing"
+        ]
+
+    def test_boundary_draws_give_up_after_100_attempts(self, monkeypatch, caplog):
+        monkeypatch.setattr(experiment, "equi_topology_distance", lambda state: np.zeros(state.n))
+        with pytest.raises(RuntimeError, match="could not draw a non-boundary state in 100 attempts"):
+            draw_state(Model.SBI, 4, 0, 1)
+        assert len(caplog.messages) == 100
+        assert set(caplog.messages) == {
+            "boundary draw (min equi-topology distance = 0) for sbi n=4 run=0; redrawing"
+        }
 
 
 EDGE_NS = dict(agent_counts=(1, 4, 7, 30))
@@ -372,3 +405,9 @@ class TestEmitResults:
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_results([], tmp_path)
+
+    def test_unusable_out_dir_is_named(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        with pytest.raises(OSError, match=f"failed writing campaign results under {taken}: "):
+            emit_results(self.make_records(), taken)

@@ -278,15 +278,16 @@ class TestRatePrediction:
         assert v.factor == pytest.approx(1 / 3, abs=1e-6)
 
     def test_window_validation(self, fig41_state):
+        # The check reads the final epoch's last step and takes no window.
         traj = simulate(fig41_state, max_steps=100)
         la = analyze_final_topology(traj)
-        with pytest.raises(ValueError):
-            verify_rate_prediction(traj, la, window=5)
-        with pytest.raises(ValueError):
-            verify_rate_prediction(traj, la, window=10**6)
+        for window in (5, 10, 10**6):
+            with pytest.raises(TypeError, match="window"):
+                verify_rate_prediction(traj, la, window=window)
+        assert [v.agent for v in verify_rate_prediction(traj, la)] == [1]
         sparse = simulate(fig41_state, max_steps=100, record_every=3)
-        with pytest.raises(ValueError):
-            verify_rate_prediction(sparse, la, window=10)
+        with pytest.raises(ValueError, match="rate analysis needs densely recorded trajectories"):
+            verify_rate_prediction(sparse, la)
 
     def test_random_rates_match_leader_radius(self):
         # Stubborn anchors with wide-bound followers give long constant
@@ -300,7 +301,7 @@ class TestRatePrediction:
             if tail < 12 or traj.fixed_at is not None:
                 continue
             la = analyze_final_topology(traj)
-            for v in verify_rate_prediction(traj, la, window=10):
+            for v in verify_rate_prediction(traj, la):
                 if v.excluded:
                     continue
                 checked += 1

@@ -134,6 +134,12 @@ class TestInNeighborhood:
         z = OpinionState([0.0, 1.0], [0.2, 0.2], Model.SBC)
         assert not in_neighborhood([0.1, 1.0], z, [0.1, 0.1])
 
+    def test_lengths_must_match(self):
+        z = OpinionState([0.0, 1.0], [0.2, 0.2], Model.SBC)
+        for y, radii in (([0.0], [0.1, 0.1]), ([0.0, 1.0], [0.1]), ([0.0, 1.0, 2.0], [0.1, 0.1, 0.1])):
+            with pytest.raises(ValueError, match="vectors must share a length"):
+                in_neighborhood(y, z, radii)
+
     def test_iet_subset_of_et(self):
         rng = np.random.default_rng(101)
         for _ in range(300):
@@ -179,6 +185,10 @@ class TestEquilibriumAndAgreement:
 
     def test_perturbed_state_is_not(self, fig41_state):
         assert not is_equilibrium(fig41_state, tol=1e-12)
+
+    def test_negative_tolerance_rejected(self, fig41_state):
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            is_equilibrium(fig41_state, tol=-1e-300)
 
     def test_agreement_disconnected_clusters(self):
         state = OpinionState([0.0, 0.0, 1.0], [0.1, 0.1, 0.1], Model.SBC)
