@@ -39,16 +39,19 @@ class InputError(Exception):
 
 def load_state(path, model) -> OpinionState:
     """Read a state file: JSON {"opinions": [...], "bounds": [...]} or a
-    two-column CSV (opinion, bound)."""
+    two-column CSV (opinion, bound) whose first non-empty row may be a
+    header starting ``opinion``, ``x`` or ``y``."""
     try:
         text = open(path).read()
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
     if path.endswith(".csv"):
         opinions, bounds = [], []
-        for lineno, row in enumerate(csv.reader(text.splitlines()), start=1):
-            if not row or row[0].strip().lower() in ("opinion", "x", "y"):
-                continue
+        rows = [(n, row) for n, row in enumerate(csv.reader(text.splitlines()), start=1) if row]
+        # Only the first non-empty row may be a header.
+        if rows and rows[0][1][0].strip().lower() in ("opinion", "x", "y"):
+            del rows[0]
+        for lineno, row in rows:
             if len(row) != 2:
                 raise InputError(
                     f"{path}:{lineno}: expected 2 columns, got {len(row)}"

@@ -158,6 +158,15 @@ class Epoch:
         one stepping kernel."""
         return self.matrix @ x
 
+    def _steps(self, x: np.ndarray, k: int) -> np.ndarray:
+        """States 0..k from ``x`` as the rows of one ``(k + 1, n)`` array:
+        row i + 1 is ``_step`` of row i, bit for bit, written in place."""
+        xs = np.empty((k + 1, len(x)))
+        xs[0] = x
+        for i in range(k):
+            np.matmul(self.matrix, xs[i], out=xs[i + 1])
+        return xs
+
     def at(self, opinions) -> Epoch:
         """The epoch of ``opinions`` under this epoch's bounds and model, from
         the same step, with its digraph and ε read from one distance matrix.
@@ -225,6 +234,38 @@ def _epoch_at(epoch: Optional[Epoch], t: int, x: np.ndarray, state: OpinionState
 # computed fvct.
 _LIMIT_MARGIN = 1e3
 
+# Once the anchor's box has held for _BLOCK_AFTER steps, simulate steps blocks
+# of states, _BLOCK_MIN at first and twice as many after each block that
+# stays quiet, up to _BLOCK_MAX steps and _BLOCK_FLOATS floats per block.
+_BLOCK_AFTER = 4
+_BLOCK_MIN = 8
+_BLOCK_MAX = 128
+_BLOCK_FLOATS = 2**20
+
+
+def _quiet_steps(
+    epoch: Epoch, xs: np.ndarray, fixed_tol: float, limit_tol: float, limit_gate: float
+) -> int:
+    """How many leading rows of ``xs`` (states of ``epoch``, each row the
+    step of the one before) are quiet: their state lies in the anchor's box,
+    their step moves it by more than ``fixed_tol``, and the tolerance stop
+    does not fire.  At a quiet step ``simulate`` only records and steps.
+
+    Every block follows box-accepted steps of the epoch, so it lies past the
+    epoch's first step; the fvct is read only if some quiet row passes the
+    limit gate, where the per-step loop would read it too."""
+    moved = np.abs(xs[1:] - xs[:-1]).max(axis=1)
+    quiet = (np.abs(xs[:-1] - epoch._anchor) < epoch._radius).all(axis=1) & (moved > fixed_tol)
+    loud = np.flatnonzero(~quiet)
+    j = int(loud[0]) if len(loud) else len(quiet)
+    if limit_tol > 0.0:
+        gated = np.flatnonzero(moved[:j] < limit_gate)
+        if len(gated):
+            near = np.flatnonzero(np.abs(xs[gated] - epoch.fvct()).max(axis=1) < limit_tol)
+            if len(near):
+                j = int(gated[near[0]])
+    return j
+
 
 def simulate(
     state: OpinionState,
@@ -248,6 +289,11 @@ def simulate(
     - otherwise a fixed step stops the run at t+1 with ``FIXED_STATE``.
 
     After ``max_steps`` steps the run stops with ``MAX_STEPS``.
+
+    Once the anchor's box has held for a few steps, the states ahead are
+    stepped in a block and the steps at which nothing of the above happens
+    are recorded together; the first other step goes through the per-step
+    loop, so every output is the same bits as stepping one state at a time.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -262,9 +308,27 @@ def simulate(
     times, rows, epochs = [], [], []
     epoch = fixed_at = None
     termination = Termination.MAX_STEPS
+    t = boxed = 0
+    size = _BLOCK_MIN
 
-    for t in range(max_steps):
+    while t < max_steps:
+        k = min(size, max_steps - t, _BLOCK_FLOATS // state.n - 1)
+        if boxed >= _BLOCK_AFTER and k > 0:
+            xs = epoch._steps(x, k)
+            j = _quiet_steps(epoch, xs, fixed_tol, limit_tol, limit_gate)
+            first = -t % record_every
+            times.extend(range(t + first, t + j, record_every))
+            rows.extend(xs[first:j:record_every].copy())
+            t, x = t + j, xs[j].copy()
+            if j == k:
+                size = min(2 * size, _BLOCK_MAX)
+                continue
+            boxed, size = 0, _BLOCK_MIN
+
+        prev = epoch
         epoch = _epoch_at(epoch, t, x, state, epochs)
+        # Kept by the box test: the same epoch, not re-anchored at x.
+        boxed = boxed + 1 if epoch is prev and epoch._anchor is not x else 0
 
         # x is rebound each step, never written in place, so a row may hold it.
         if t % record_every == 0:
@@ -289,9 +353,7 @@ def simulate(
             termination = Termination.FIXED_STATE
             t, x = t + 1, x_next
             break
-        x = x_next
-    else:
-        t = max_steps
+        t, x = t + 1, x_next
 
     # A fixed or max_steps stop ends on a state no step has compared.
     epoch = _epoch_at(epoch, t, x, state, epochs)

@@ -61,7 +61,7 @@ class ProximityDigraph:
         """JSON text of ``{"n": n, "edges": [[i, j], ...]}``, edges ascending, joined
         from row tokens; no row is empty, since every node holds its self-loop."""
         tail = np.array([f"{j}]" for j in range(self.n)], dtype=object)
-        rows = (f"[{i}, " + f", [{i}, ".join(tail[row]) for i, row in enumerate(self.mask))
+        rows = (f"[{i}, " + f", [{i}, ".join(tail[row].tolist()) for i, row in enumerate(self.mask))
         return f'{{"n": {self.n}, "edges": [{", ".join(rows)}]}}'
 
     def at(self, y: np.ndarray, r: np.ndarray, kind: Model) -> tuple:

@@ -19,9 +19,12 @@ from opinion_lab.state import OpinionState
 
 
 def adjacency_matrix(g: ProximityDigraph) -> np.ndarray:
-    """Row-stochastic averaging matrix: row i is uniform on N_i."""
-    a = g.dense()
-    return a / a.sum(axis=1, keepdims=True)
+    """Row-stochastic averaging matrix: row i is uniform on N_i.  Row i is
+    scaled by fl(1/|N_i|), which is what 1/|N_i| rounds to, so one float
+    cast of the 0/1 adjacency and one product give the bits of a division."""
+    a = g.dense().astype(float)
+    a *= (1.0 / a.sum(axis=1))[:, None]
+    return a
 
 
 @dataclass(frozen=True)

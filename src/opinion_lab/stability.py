@@ -4,7 +4,7 @@ checks, and the topology-freeze / finite-time sufficient conditions."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -116,7 +116,21 @@ class AgreementSufficiency:
         return self.separation_ok and self.bounds_ok
 
     def to_json(self) -> dict:
-        return {**asdict(self), "predicted_finite_time": self.predicted_finite_time}
+        """The fields as ``dataclasses.asdict`` gives them, and the verdict."""
+        return {
+            "per_wcc": tuple(
+                {
+                    "members": v.members,
+                    "interval": v.interval,
+                    "separated": v.separated,
+                    "bound_condition": v.bound_condition,
+                }
+                for v in self.per_wcc
+            ),
+            "separation_ok": self.separation_ok,
+            "bounds_ok": self.bounds_ok,
+            "predicted_finite_time": self.predicted_finite_time,
+        }
 
 
 def check_agreement_sufficient(state: OpinionState | Epoch) -> AgreementSufficiency:
@@ -206,15 +220,20 @@ class StabilityReport:
 
     def to_json(self) -> dict:
         return {
-            **vars(self),
-            "epsilon": [_json_float(v) for v in self.epsilon],
-            "delta": [_json_float(v) for v in self.delta],
+            "epsilon": _json_floats(self.epsilon),
+            "delta": _json_floats(self.delta),
+            "is_equilibrium": self.is_equilibrium,
+            "is_agreement": self.is_agreement,
+            "in_et_of_fvct": self.in_et_of_fvct,
+            "in_iet_of_fvct": self.in_iet_of_fvct,
             "agreement_condition": self.agreement_condition.to_json(),
         }
 
 
-def _json_float(v: float):
-    return "inf" if math.isinf(v) else float(v)
+def _json_floats(v: np.ndarray) -> list:
+    """``v`` as a list of floats, with every infinity as the string "inf"."""
+    out = v.tolist()
+    return out if not np.isinf(v).any() else ["inf" if math.isinf(f) else f for f in out]
 
 
 def stability_report(state: OpinionState) -> StabilityReport:

@@ -514,6 +514,24 @@ def digraph_json_oracle(g):
     return json.dumps({"n": g.n, "edges": np.argwhere(g.mask).tolist()})
 
 
+def report_json_oracle(report):
+    """The stability report's dict as ``dataclasses.asdict`` and a per-value
+    pass over ε and δ built it."""
+    import math
+    from dataclasses import asdict
+
+    def value(v):
+        return "inf" if math.isinf(v) else float(v)
+
+    agreement = report.agreement_condition
+    return {
+        **vars(report),
+        "epsilon": [value(v) for v in report.epsilon],
+        "delta": [value(v) for v in report.delta],
+        "agreement_condition": {**asdict(agreement), "predicted_finite_time": agreement.predicted_finite_time},
+    }
+
+
 def loop_pseudo_stable_check(traj, limit, fixed_tol=0.0):
     """Agent by agent, step by step: the pseudo-stability scan in Python."""
     from opinion_lab.dynamics import PseudoStableVerdict

@@ -55,6 +55,34 @@ class TestLoadState:
         with pytest.raises(InputError, match=":1:"):
             load_state(str(path), "sbc")
 
+    @pytest.mark.parametrize("header", ["opinion,bound", "x,r", " Y ,bound"])
+    def test_csv_header_is_the_first_non_empty_row(self, tmp_path, header):
+        path = tmp_path / "state.csv"
+        path.write_text(f"\n{header}\n\n0.1,0.2\n0.3,0.2\n")
+        state = load_state(str(path), "sbc")
+        assert np.array_equal(state.opinions, [0.1, 0.3])
+        assert np.array_equal(state.bounds, [0.2, 0.2])
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("0.1,0.2\nx,0.5\n0.3,0.2\n", 2),
+            ("opinion,bound\n0.1,0.2\nopinion,bound\n", 3),
+            ("x,r\ny,r\n0.1,0.2\n", 2),
+            ("\n0.1,0.2\n\ny,0.5\n", 4),
+        ],
+    )
+    def test_csv_header_after_the_first_row_is_input_error(self, tmp_path, capsys, text, lineno):
+        # Such a row used to be skipped as a header, silently dropping an agent.
+        path = tmp_path / "state.csv"
+        path.write_text(text)
+        with pytest.raises(InputError, match=f"^{path}:{lineno}: could not convert"):
+            load_state(str(path), "sbc")
+        assert main(["fvct", "--state", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"input error: {path}:{lineno}: ")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
             load_state(str(tmp_path / "nope.json"), "sbc")

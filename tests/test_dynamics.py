@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -487,6 +488,118 @@ class TestMaskEvaluations:
         assert [t for t, _ in traj.topology_epochs] == list(range(10))
         assert len(masks) == 9 and not boxes
         assert traj.final_epoch._anchor is None
+
+
+@functools.cache
+def long_tail_reference(fixed_tol, limit_tol):
+    """``reference_simulate``, dense, from a state whose final epoch runs
+    for more than 500 steps (steps 152 to 820 under the default tolerances)."""
+    return reference_simulate(draw_state(Model.SBC, 50, 0, 1), 10**5, fixed_tol=fixed_tol, limit_tol=limit_tol)
+
+
+def recorded(dense, record_every, max_steps=None):
+    """``reference_simulate``'s output at ``record_every``, and at a
+    ``max_steps`` before its stop, read from its dense run: every state
+    recorded up to the stop, every epoch started by then."""
+    stop = dense.times[-1] if max_steps is None else max_steps
+    times = [t for t in dense.times if t <= stop and (t % record_every == 0 or t == stop)]
+    return Trajectory(
+        bounds=dense.bounds,
+        kind=dense.kind,
+        times=times,
+        states=dense.states[times],
+        topology_epochs=[(t, h) for t, h in dense.topology_epochs if t <= stop],
+        fixed_at=dense.fixed_at if max_steps is None else None,
+        termination=dense.termination if max_steps is None else Termination.MAX_STEPS,
+    )
+
+
+TOLERANCES = [(0.0, 1e-12), (0.0, 0.0), (1e-9, 0.0), (1e-9, 1e-12)]
+
+
+class TestBlocks:
+    """A long constant-topology stretch is stepped in blocks: the same bits
+    as the per-step loop, with the box test run on a few states only."""
+
+    @staticmethod
+    def assert_same_run(got, want):
+        assert got.times == want.times
+        assert got.states.tobytes() == want.states.tobytes()
+        assert got.topology_epochs == want.topology_epochs
+        assert (got.final_epoch.start, got.final_epoch.label) == got.topology_epochs[-1]
+        assert (got.termination, got.fixed_at) == (want.termination, want.fixed_at)
+
+    @pytest.mark.parametrize("record_every", [1, 7, 10**5])
+    @pytest.mark.parametrize("fixed_tol, limit_tol", TOLERANCES)
+    def test_long_tail_matches_reference_loop(self, fixed_tol, limit_tol, record_every):
+        dense = long_tail_reference(fixed_tol, limit_tol)
+        assert dense.times[-1] - dense.topology_epochs[-1][0] > 300
+        got = simulate(
+            draw_state(Model.SBC, 50, 0, 1), fixed_tol=fixed_tol, record_every=record_every, limit_tol=limit_tol
+        )
+        self.assert_same_run(got, recorded(dense, record_every))
+
+    @pytest.mark.parametrize("fixed_tol, limit_tol", TOLERANCES)
+    def test_max_steps_inside_a_block_matches_reference_loop(self, monkeypatch, fixed_tol, limit_tol):
+        dense = long_tail_reference(fixed_tol, limit_tol)
+        ends = []
+        steps = Epoch._steps
+
+        def stepped(epoch, x, k):
+            xs = steps(epoch, x, k)
+            ends.append(xs[-1])
+            return xs
+
+        monkeypatch.setattr(Epoch, "_steps", stepped)
+        # Up to the step before the stop T: a fixed stop at T is found at
+        # step T - 1.
+        last = dense.times[-1] - 1
+        for max_steps in [m for m in (160, 301, 517) if m < last] + [last]:
+            for record_every in (1, 7):
+                ends.clear()
+                got = simulate(
+                    draw_state(Model.SBC, 50, 0, 1),
+                    max_steps=max_steps,
+                    fixed_tol=fixed_tol,
+                    record_every=record_every,
+                    limit_tol=limit_tol,
+                )
+                self.assert_same_run(got, recorded(dense, record_every, max_steps))
+                # The last block ends at max_steps.
+                assert got.states[-1].tobytes() == ends[-1].tobytes()
+
+    def test_a_long_tail_is_stepped_in_blocks(self, monkeypatch):
+        boxes = TestMaskEvaluations.counted(monkeypatch, dynamics, "_epoch_at")
+        blocks = []
+        steps = Epoch._steps
+
+        def stepped(epoch, x, k):
+            xs = steps(epoch, x, k)
+            blocks.append(xs.size)
+            # Row for row the one stepping kernel, bit for bit.
+            for i in range(k):
+                assert epoch._step(xs[i]).tobytes() == xs[i + 1].tobytes()
+            return xs
+
+        monkeypatch.setattr(Epoch, "_steps", stepped)
+        traj = simulate(draw_state(Model.SBC, 50, 0, 1), limit_tol=0.0)
+        end = traj.times[-1]
+        assert end - traj.final_epoch.start > 500
+        assert len(boxes) < end / 4
+        assert sum(blocks) > 500 * 50 and max(blocks) <= 2**20
+
+    @pytest.mark.parametrize("floats", [2 * 50 - 1, 2 * 50, 20 * 50])
+    def test_blocks_hold_at_most_the_float_cap(self, monkeypatch, floats):
+        # Under a cap below two states no block is stepped; at two states a
+        # block holds one step.  The bits stay those of the reference.
+        monkeypatch.setattr(dynamics, "_BLOCK_FLOATS", floats)
+        blocks = []
+        steps = Epoch._steps
+        monkeypatch.setattr(Epoch, "_steps", lambda epoch, x, k: blocks.append(k) or steps(epoch, x, k))
+        got = simulate(draw_state(Model.SBC, 50, 0, 1), limit_tol=0.0)
+        self.assert_same_run(got, recorded(long_tail_reference(0.0, 0.0), 1))
+        assert all((k + 1) * 50 <= floats for k in blocks)
+        assert bool(blocks) == (floats >= 2 * 50)
 
 
 class TestEpochAt:

@@ -18,6 +18,7 @@ from opinion_lab import (
     spectral_radius,
 )
 from opinion_lab.dynamics import Epoch
+from opinion_lab.graph import ProximityDigraph
 from opinion_lab.leader import leader_assignment
 from opinion_lab.matrix import fvct_canonical, left_perron_vector
 
@@ -60,6 +61,21 @@ class TestAdjacencyMatrix:
         a = adjacency_matrix(build_digraph(fig62_state))
         assert np.allclose(a[4], [0.25, 0.25, 0, 0, 0.25, 0.25, 0, 0])
         assert np.allclose(a[7], np.full(8, 0.125))
+
+    def test_bits_of_the_division_at_every_degree(self):
+        # One float cast scaled by fl(1/c) against the 0/1 adjacency divided
+        # by its row sums: rows of every degree 1..400, and random masks.
+        rng = np.random.default_rng(11)
+        p = rng.permutation(400)
+        masks = [np.tri(400, dtype=bool)[p][:, p]]
+        for _ in range(100):
+            n = int(rng.integers(1, 60))
+            masks.append((rng.random((n, n)) < rng.random()) | np.eye(n, dtype=bool))
+        for mask in masks:
+            a = adjacency_matrix(ProximityDigraph(mask))
+            want = mask / mask.sum(axis=1, keepdims=True)
+            assert (a.dtype, a.strides) == (want.dtype, want.strides)
+            assert a.tobytes() == want.tobytes()
 
     def test_row_stochastic_positive_diagonal(self):
         rng = np.random.default_rng(3)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -29,11 +30,13 @@ from conftest import (
     closure_weak_components,
     count_calls,
     edge_states,
+    epoch_start_states,
     grid_state,
     loop_topology_matches_tail,
     mask_agreement_oracle,
     neighbor_lists,
     random_state,
+    report_json_oracle,
     two_matrix_equi_topology_distance,
 )
 
@@ -462,6 +465,25 @@ class TestStabilityReport:
         report = stability_report(fig41_state)
         assert not report.is_equilibrium
         assert report.in_iet_of_fvct
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_json_matches_asdict_oracle(self):
+        # The same dict, tuples included, and the same text as the asdict
+        # export it replaced, on random, tied, clustered and edge states.
+        rng = np.random.default_rng(229)
+        states = [random_state(rng, max_n=40, bounds_hi=0.3) for _ in range(40)]
+        states.extend(grid_state(rng) for _ in range(40))
+        states.extend(epoch_start_states(rng, runs=3))
+        states.extend(edge_states(rng))
+        states.append(OpinionState([-1e308, 1e308, 0.0], [math.inf, 0.1, 0.1], Model.SBI))
+        infinite = 0
+        for state in states:
+            report = stability_report(state)
+            got, want = report.to_json(), report_json_oracle(report)
+            assert got == want
+            assert json.dumps(got) == json.dumps(want)
+            infinite += "inf" in got["epsilon"] + got["delta"]
+        assert infinite >= 5
 
     def test_single_agent_inf_serializes(self):
         report = stability_report(OpinionState([0.2], [0.1]))
