@@ -149,7 +149,7 @@ def cmd_classify(args) -> int:
 
 def cmd_fvct(args) -> int:
     state = load_state(args.state, args.model)
-    _emit([float(v) for v in fvct(state)])
+    _emit(fvct(state).tolist())
     return 0
 
 

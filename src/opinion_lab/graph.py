@@ -116,11 +116,8 @@ class Classification:
     wccs: tuple
 
     def nodes_of_class(self, cls: SccClass) -> list:
-        out = []
-        for members, tag in zip(self.sccs, self.classes):
-            if tag is cls:
-                out.extend(members)
-        return sorted(out)
+        chosen = (members for members, tag in zip(self.sccs, self.classes) if tag is cls)
+        return sorted(v for members in chosen for v in members)
 
     def to_json(self) -> dict:
         return {
@@ -188,9 +185,10 @@ def build_digraph(state: OpinionState) -> ProximityDigraph:
 
 
 def _bit_rows(mask: np.ndarray) -> list:
-    """Row i of a boolean matrix as a Python int with bit j set iff
-    ``mask[i, j]``: the one connectivity primitive, with no closure."""
-    return [int.from_bytes(row, "little") for row in np.packbits(mask, axis=1, bitorder="little")]
+    """Row i of a boolean matrix as a Python int with bit j set iff ``mask[i, j]``,
+    sliced from one packed buffer: the one connectivity primitive, no closure."""
+    w, buf = (mask.shape[1] + 7) // 8, np.packbits(mask, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(buf[i : i + w], "little") for i in range(0, len(buf), w)]
 
 
 def _bit_matrix(bitsets: list, n: int) -> np.ndarray:
@@ -245,9 +243,10 @@ def classify(g: ProximityDigraph) -> Classification:
     """Tag every SCC and compute the condensation, the WCCs and the
     open-minded WCCs; ``g.classification`` caches it."""
     sccs = strongly_connected_components(g)
-    scc_of = np.empty(g.n, dtype=np.intp)
+    scc_of = [0] * g.n
     for k, members in enumerate(sccs):
-        scc_of[members] = k
+        for v in members:
+            scc_of[v] = k
 
     # An SCC's out-neighbors are the union of its members' rows; a sink is
     # complete iff each member's row holds the whole SCC.
@@ -255,49 +254,50 @@ def classify(g: ProximityDigraph) -> Classification:
     out = [functools.reduce(int.__or__, [rows[v] for v in members]) for members in sccs]
     ks, cols = np.nonzero(_bit_matrix(out, g.n))
     cond = np.zeros((len(sccs), len(sccs)), dtype=bool)
-    cond[ks, scc_of[cols]] = True
+    cond[ks, np.take(scc_of, cols)] = True
     np.fill_diagonal(cond, False)
+    condensation = tuple(tuple(np.flatnonzero(row).tolist()) for row in cond)
 
-    is_open = cond.any(axis=1)
     classes = tuple(
-        SccClass.OPEN if is_open[k]
+        SccClass.OPEN if succ
         else SccClass.CLOSED if all(rows[v].bit_count() == len(members) for v in members)
         else SccClass.MODERATE
-        for k, members in enumerate(sccs)
+        for succ, members in zip(condensation, sccs)
     )
+
+    sym = _bit_rows(cond | cond.T)
 
     # WCCs group the SCCs joined by condensation edges, open WCCs the open
-    # SCCs joined by edges between open SCCs.
-    def members(ids):
-        groups = weak_components(cond[np.ix_(ids, ids)])
-        return tuple(sorted(tuple(sorted(v for k in w for v in sccs[ids[k]])) for w in groups))
+    # SCCs joined by edges between open SCCs: two floods of one bitset.
+    def members(nodes):
+        groups = weak_components(sym, nodes)
+        return tuple(sorted(tuple(sorted(v for k in w for v in sccs[k])) for w in groups))
 
     return Classification(
-        sccs=tuple(tuple(m) for m in sccs),
+        sccs=tuple(map(tuple, sccs)),
         classes=classes,
-        condensation=tuple(tuple(np.flatnonzero(row).tolist()) for row in cond),
-        open_wccs=members(np.flatnonzero(is_open)),
-        scc_of=tuple(scc_of.tolist()),
-        wccs=members(np.arange(len(sccs))),
+        condensation=condensation,
+        open_wccs=members(sum(1 << k for k, succ in enumerate(condensation) if succ)),
+        scc_of=tuple(scc_of),
+        wccs=members((1 << len(sccs)) - 1),
     )
 
 
-def weak_components(mask: np.ndarray) -> tuple:
-    """WCCs of the digraph with boolean adjacency ``mask`` by bitset flood
-    fill, each sorted ascending, in order of smallest member.  ``classify``
-    runs it on the condensation, never on a node-level mask."""
-    n = len(mask)
-    rows = _bit_rows(mask | mask.T)
-    unseen = (1 << n) - 1
+def weak_components(rows: list, nodes: int) -> list:
+    """Components of the bitset ``nodes`` under the symmetric bit rows
+    ``rows`` by flood fill within ``nodes``, in order of smallest member,
+    each a list of node ids.  ``classify`` floods the condensation only."""
     out = []
-    while unseen:
-        comp = frontier = unseen & -unseen
+    while nodes:
+        frontier = nodes & -nodes
+        nodes ^= frontier
+        comp = []
         while frontier:
             low = frontier & -frontier
             frontier ^= low
-            fresh = rows[low.bit_length() - 1] & ~comp
-            comp |= fresh
+            comp.append(low.bit_length() - 1)
+            fresh = rows[comp[-1]] & nodes
+            nodes ^= fresh
             frontier |= fresh
-        unseen ^= comp
         out.append(comp)
-    return tuple(tuple(np.flatnonzero(row).tolist()) for row in _bit_matrix(out, n))
+    return out

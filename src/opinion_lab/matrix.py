@@ -68,12 +68,8 @@ class CanonicalDecomposition:
 
     def open_block_slices(self) -> list:
         """(scc_index, slice into Theta) per open SCC in block order."""
-        out = []
-        offset = 0
-        for k, size in zip(self.open_sccs, self.open_sizes):
-            out.append((k, slice(offset, offset + size)))
-            offset += size
-        return out
+        ends = np.cumsum(self.open_sizes, dtype=int).tolist()
+        return [(k, slice(a, b)) for k, a, b in zip(self.open_sccs, [0] + ends, ends)]
 
 
 def canonical_decomposition(
@@ -90,7 +86,7 @@ def canonical_decomposition(
     closed, moderate, open_ = (tuple(len(c.sccs[k]) for k in blocks[cls]) for cls in SccClass)
     perm = np.array([v for cls in SccClass for k in blocks[cls] for v in c.sccs[k]], dtype=int)
 
-    abar = a[np.ix_(perm, perm)]
+    abar = a.take(perm, 0).take(perm, 1)
     nc, nm = sum(closed), sum(moderate)
     return CanonicalDecomposition(
         permutation=perm,
@@ -131,7 +127,8 @@ def left_perron_vector(block: np.ndarray) -> np.ndarray:
     """
     block = np.asarray(block, dtype=float)
     n = block.shape[0]
-    system = np.eye(n) - block.T
+    system = np.subtract(0.0, block.T)  # 0 - m, not -m: +0.0 where np.eye(n) - M^T has it
+    system.flat[:: n + 1] += 1.0  # fl(-m + 1) is fl(1 - m)
     system[-1] = 1.0
     rhs = np.zeros(n)
     rhs[-1] = 1.0
@@ -157,16 +154,14 @@ def fvct_canonical(decomp: CanonicalDecomposition, y: np.ndarray) -> np.ndarray:
     f[:nc] = decomp.C @ yp[:nc]
     # A moderate block settles at the consensus nu . y of its left Perron
     # vector nu (the rows of its rank-one limit M*).
-    offset = 0
-    for size in decomp.moderate_sizes:
-        sl = slice(offset, offset + size)
-        block = slice(nc + offset, nc + offset + size)
-        f[block] = left_perron_vector(decomp.M[sl, sl]) @ yp[block]
-        offset += size
+    ends = np.cumsum(decomp.moderate_sizes, dtype=int).tolist()
+    for a, b in zip([0] + ends, ends):
+        f[nc + a : nc + b] = left_perron_vector(decomp.M[a:b, a:b]) @ yp[nc + a : nc + b]
     if decomp.n_open:
         rhs = decomp.ThetaC @ f[:nc] + decomp.ThetaM @ f[nc : nc + nm]
-        eye = np.eye(decomp.n_open)
-        f[nc + nm :] = np.linalg.solve(eye - decomp.Theta, rhs)
+        system = np.subtract(0.0, decomp.Theta)  # I - Theta as in left_perron_vector
+        system.flat[:: decomp.n_open + 1] += 1.0
+        f[nc + nm :] = np.linalg.solve(system, rhs)
 
     out = np.empty_like(f)
     out[perm] = f

@@ -89,10 +89,14 @@ def is_agreement_vector(state: OpinionState | Epoch) -> bool:
     ``Epoch``, is either disconnected or in consensus: the opinions are
     constant on every WCC of its digraph."""
     epoch = _as_epoch(state)
-    wccs = epoch.digraph.classification.wccs
-    y = epoch.state.opinions[np.concatenate(wccs)]
-    starts = np.cumsum([0] + [len(w) for w in wccs[:-1]])
-    return bool((np.minimum.reduceat(y, starts) == np.maximum.reduceat(y, starts)).all())
+    lows, highs = _wcc_ranges(epoch.state.opinions, epoch.digraph.classification.wccs)
+    return bool((lows == highs).all())
+
+
+def _wcc_ranges(values: np.ndarray, wccs: tuple) -> tuple:
+    """Per WCC, the least and the greatest of ``values`` over its members."""
+    v, starts = values[np.concatenate(wccs)], np.cumsum([0] + [len(w) for w in wccs[:-1]])
+    return np.minimum.reduceat(v, starts), np.maximum.reduceat(v, starts)
 
 
 @dataclass(frozen=True)
@@ -145,8 +149,9 @@ def check_agreement_sufficient(state: OpinionState | Epoch) -> AgreementSufficie
     epoch = _as_epoch(state)
     y, r = epoch.state.opinions, epoch.state.bounds
     wccs = epoch.digraph.classification.wccs
-    intervals = [(float(y[m].min()), float(y[m].max())) for m in (np.array(w) for w in wccs)]
-    max_bound = [float(r[np.array(w)].max()) for w in wccs]
+    lows, highs = _wcc_ranges(y, wccs)
+    intervals = list(zip(lows.tolist(), highs.tolist()))
+    max_bound = _wcc_ranges(r, wccs)[1].tolist()
 
     separated = [True] * len(wccs)
     for a in range(len(wccs)):

@@ -678,3 +678,127 @@ def loop_topology_matches_tail(traj, inf_mask):
         for k, t in enumerate(traj.times)
         if t >= tail_start
     )
+
+
+# --- The one-shot analysis path before the SCC bookkeeping moved to Python
+# ints and the decomposition to a `take` gather, kept as oracles. ----------
+
+
+def packed_bit_rows(mask):
+    """``graph._bit_rows`` read row by row from the packed array."""
+    return [int.from_bytes(row, "little") for row in np.packbits(mask, axis=1, bitorder="little")]
+
+
+def mask_weak_components(mask):
+    """WCCs of the digraph with boolean adjacency ``mask`` by bitset flood
+    fill over its symmetrised rows, each sorted ascending, in order of
+    smallest member."""
+    from opinion_lab.graph import _bit_matrix
+
+    n = len(mask)
+    rows = packed_bit_rows(mask | mask.T)
+    unseen = (1 << n) - 1
+    out = []
+    while unseen:
+        comp = frontier = unseen & -unseen
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            fresh = rows[low.bit_length() - 1] & ~comp
+            comp |= fresh
+            frontier |= fresh
+        unseen ^= comp
+        out.append(comp)
+    return tuple(tuple(np.flatnonzero(row).tolist()) for row in _bit_matrix(out, n))
+
+
+def numpy_classify(g):
+    """``classify`` with a numpy ``scc_of`` and condensation, and the WCCs
+    from two ``mask_weak_components`` floods of ``np.ix_`` sub-matrices."""
+    import functools
+
+    from opinion_lab import SccClass, strongly_connected_components
+    from opinion_lab.graph import Classification, _bit_matrix
+
+    sccs = strongly_connected_components(g)
+    scc_of = np.empty(g.n, dtype=np.intp)
+    for k, members in enumerate(sccs):
+        scc_of[members] = k
+    rows = g.bit_rows
+    out = [functools.reduce(int.__or__, [rows[v] for v in members]) for members in sccs]
+    ks, cols = np.nonzero(_bit_matrix(out, g.n))
+    cond = np.zeros((len(sccs), len(sccs)), dtype=bool)
+    cond[ks, scc_of[cols]] = True
+    np.fill_diagonal(cond, False)
+    is_open = cond.any(axis=1)
+    classes = tuple(
+        SccClass.OPEN if is_open[k]
+        else SccClass.CLOSED if all(rows[v].bit_count() == len(members) for v in members)
+        else SccClass.MODERATE
+        for k, members in enumerate(sccs)
+    )
+
+    def members(ids):
+        groups = mask_weak_components(cond[np.ix_(ids, ids)])
+        return tuple(sorted(tuple(sorted(v for k in w for v in sccs[ids[k]])) for w in groups))
+
+    return Classification(
+        sccs=tuple(tuple(m) for m in sccs),
+        classes=classes,
+        condensation=tuple(tuple(np.flatnonzero(row).tolist()) for row in cond),
+        open_wccs=members(np.flatnonzero(is_open)),
+        scc_of=tuple(scc_of.tolist()),
+        wccs=members(np.arange(len(sccs))),
+    )
+
+
+def ix_canonical_decomposition(a, c):
+    """``canonical_decomposition`` gathering with ``a[np.ix_(perm, perm)]``."""
+    import dataclasses
+
+    from opinion_lab import canonical_decomposition
+
+    d = canonical_decomposition(a, c)
+    abar = a[np.ix_(d.permutation, d.permutation)]
+    nc, no = d.n_closed, d.n - d.n_open
+    return dataclasses.replace(
+        d,
+        matrix=abar,
+        C=abar[:nc, :nc],
+        M=abar[nc:no, nc:no],
+        Theta=abar[no:, no:],
+        ThetaC=abar[no:, :nc],
+        ThetaM=abar[no:, nc:no],
+    )
+
+
+def eye_left_perron_vector(block):
+    """``left_perron_vector`` with its system built as ``np.eye(n) - block.T``."""
+    n = len(block)
+    system = np.eye(n) - block.T
+    system[-1] = 1.0
+    rhs = np.zeros(n)
+    rhs[-1] = 1.0
+    return np.linalg.solve(system, rhs)
+
+
+def eye_fvct_canonical(d, y):
+    """``fvct_canonical`` with ``np.eye`` in both solves and a running
+    offset over the moderate blocks."""
+    perm = d.permutation
+    yp = np.asarray(y, dtype=float)[perm]
+    nc, nm = d.n_closed, d.n_moderate
+    f = np.empty_like(yp)
+    f[:nc] = d.C @ yp[:nc]
+    offset = 0
+    for size in d.moderate_sizes:
+        sl = slice(offset, offset + size)
+        block = slice(nc + offset, nc + offset + size)
+        f[block] = eye_left_perron_vector(d.M[sl, sl]) @ yp[block]
+        offset += size
+    if d.n_open:
+        rhs = d.ThetaC @ f[:nc] + d.ThetaM @ f[nc : nc + nm]
+        f[nc + nm :] = np.linalg.solve(np.eye(d.n_open) - d.Theta, rhs)
+    out = np.empty_like(f)
+    out[perm] = f
+    return out

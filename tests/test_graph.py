@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opinion_lab import (
     Model,
@@ -16,7 +18,14 @@ from opinion_lab import (
 )
 from opinion_lab.dynamics import Epoch
 from opinion_lab.experiment import draw_state
-from opinion_lab.graph import ProximityDigraph, _distances, _neighbor_mask, weak_components
+from opinion_lab.graph import (
+    ProximityDigraph,
+    _bit_rows,
+    _distances,
+    _neighbor_mask,
+    proximity_mask,
+    weak_components,
+)
 from opinion_lab.stability import (
     equi_topology_distance,
     invariant_equi_topology_distance,
@@ -33,7 +42,9 @@ from conftest import (
     epoch_start_states,
     grid_state,
     neighbor_lists,
+    numpy_classify,
     open_wccs_oracle,
+    packed_bit_rows,
     random_state,
     reachability_oracle,
     reference_adjacency_matrix,
@@ -51,6 +62,13 @@ def self_loop_digraph(n):
 
 def path_digraph(n):
     return ProximityDigraph(np.eye(n, dtype=bool) | np.eye(n, k=1, dtype=bool))
+
+
+def node_weak_components(mask):
+    """``weak_components`` flooded over the symmetrised rows of a node-level
+    mask, each sorted ascending; no rows, and no components, when n is 0."""
+    rows = _bit_rows(mask | mask.T) if len(mask) else []
+    return tuple(tuple(sorted(w)) for w in weak_components(rows, (1 << len(mask)) - 1))
 
 
 def constant_on_each(y, components):
@@ -437,6 +455,62 @@ class TestClassify:
                 assert any(len(c.condensation[k]) == 0 for k in members)
 
 
+@st.composite
+def digraph_masks(draw):
+    """Masks with self-loops, n 1-40, relabelled at random or not: random,
+    with groups of identical rows, disjoint cliques, chains with some back
+    edges, or upper-triangular DAGs."""
+    n = draw(st.integers(1, 40))
+    family = draw(st.sampled_from(["random", "duplicate_rows", "cliques", "chain", "dag"]))
+    density = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise = rng.random((n, n)) < density
+    if family == "random":
+        mask = noise
+    elif family == "duplicate_rows":
+        source = rng.integers(0, max(1, n // 3), n)
+        mask = noise[source] | (source[:, None] == source[None, :])
+    elif family == "cliques":
+        labels = rng.integers(0, draw(st.integers(1, n)), n)
+        mask = labels[:, None] == labels[None, :]
+    elif family == "chain":
+        mask = np.eye(n, k=1, dtype=bool) | (np.eye(n, k=-1, dtype=bool) & noise)
+    else:
+        mask = np.triu(noise)
+    if draw(st.booleans()):
+        perm = rng.permutation(n)
+        mask = mask[np.ix_(perm, perm)]
+    return mask | np.eye(n, dtype=bool)
+
+
+class TestClassifyMatchesNumpyOracle:
+    """``classify`` against the classification built with a numpy
+    condensation and two ``np.ix_`` floods (``conftest.numpy_classify``)."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(digraph_masks())
+    def test_hypothesis_masks(self, mask):
+        assert _bit_rows(mask) == packed_bit_rows(mask)
+        assert classify(ProximityDigraph(mask)) == numpy_classify(ProximityDigraph(mask))
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 300])
+    def test_many_scc_digraphs(self, n):
+        # A complete DAG and the alternating-bound chain: n singleton SCCs.
+        dag = np.triu(np.ones((n, n), dtype=bool))
+        chain = proximity_mask(OpinionState(np.arange(float(n)), np.resize([1.5, 0.5], n)))
+        for mask in (dag, chain):
+            c = classify(ProximityDigraph(mask))
+            assert len(c.sccs) == n
+            assert c == numpy_classify(ProximityDigraph(mask))
+
+    def test_states_and_their_epochs(self):
+        rng = np.random.default_rng(47)
+        states = [grid_state(rng) for _ in range(100)] + list(edge_states(rng))
+        states.extend(epoch_start_states(rng, runs=5))
+        for state in states:
+            assert classify(build_digraph(state)) == numpy_classify(build_digraph(state))
+
+
 def predecessors(g, i):
     """Nodes with a path to i (i included): column i of the closure oracle."""
     return set(np.flatnonzero(reachability_oracle(g)[:, i]).tolist())
@@ -478,12 +552,12 @@ class TestPredecessors:
     def test_weak_components_match_closure_oracle(self, digraph):
         g = digraph(300)
         mask = g.mask
-        assert weak_components(mask) == closure_weak_components(mask)
+        assert node_weak_components(mask) == closure_weak_components(mask)
         assert g.classification.wccs == closure_weak_components(mask)
         for y in (np.zeros(300), np.arange(300.0)):
             assert agreement_on(g, y) == constant_on_each(y, closure_weak_components(mask))
-        assert weak_components(mask) == (tuple(range(300)),)
-        assert weak_components(np.eye(300, dtype=bool)) == tuple((v,) for v in range(300))
+        assert node_weak_components(mask) == (tuple(range(300)),)
+        assert node_weak_components(np.eye(300, dtype=bool)) == tuple((v,) for v in range(300))
 
     def test_weak_components_of_random_masks_match_closure_oracle(self):
         rng = np.random.default_rng(41)
@@ -493,7 +567,7 @@ class TestPredecessors:
             n = int(rng.integers(0, 50))
             mask = rng.random((n, n)) < rng.uniform(0.0, 0.1)
             want = closure_weak_components(mask)
-            assert weak_components(mask) == want
+            assert node_weak_components(mask) == want
             if n:
                 # The digraph's own components and agreement test, on
                 # opinions constant on some of the components.

@@ -15,16 +15,21 @@ from opinion_lab import (
     classify,
     fvct,
     m_star,
+    simulate,
     spectral_radius,
 )
 from opinion_lab.dynamics import Epoch
+from opinion_lab.experiment import draw_state
 from opinion_lab.graph import ProximityDigraph
 from opinion_lab.leader import leader_assignment
-from opinion_lab.matrix import fvct_canonical, left_perron_vector
+from opinion_lab.matrix import CanonicalDecomposition, fvct_canonical, left_perron_vector
 
 from conftest import (
     edge_states,
     epoch_start_states,
+    eye_fvct_canonical,
+    eye_left_perron_vector,
+    ix_canonical_decomposition,
     matrix_power_radius,
     power_iteration_left_perron_vector,
     power_iteration_spectral_radius,
@@ -474,3 +479,86 @@ class TestPerronProperties:
     def test_radius_of_substochastic_block(self, block, scale):
         # Open blocks lose row mass to their successors.
         assert_radius(block * scale)
+
+
+# --- The take gather and the identity-free solves against the np.ix_ and
+# np.eye forms they replaced, bit for bit. --------------------------------
+
+
+@st.composite
+def sparse_irreducible_blocks(draw, max_n=60):
+    """Row-stochastic blocks, n 1-60, with exact zeros off a positive
+    diagonal and a ring through every node (so irreducible)."""
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = np.where(rng.random((n, n)) < draw(st.floats(0.0, 1.0)), rng.random((n, n)), 0.0)
+    ring = np.roll(np.eye(n, dtype=bool), 1, axis=1) | np.eye(n, dtype=bool)
+    weights = np.where(ring, np.maximum(weights, 1e-3), weights)
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
+def three_part_decomposition(moderate, theta, rng):
+    """The canonical layout of one closed agent, the moderate block and the
+    open block ``theta``, each open row's missing mass split at random
+    between the closed agent and the moderate block."""
+    m, k = len(moderate), len(theta)
+    a = np.zeros((1 + m + k, 1 + m + k))
+    a[0, 0] = 1.0
+    a[1 : 1 + m, 1 : 1 + m] = moderate
+    a[1 + m :, 1 + m :] = theta
+    share = rng.random((k, 1 + m))
+    a[1 + m :, : 1 + m] = share / share.sum(axis=1, keepdims=True) * (1.0 - theta.sum(axis=1))[:, None]
+    return CanonicalDecomposition(
+        permutation=np.arange(1 + m + k),
+        matrix=a,
+        C=a[:1, :1],
+        M=a[1 : 1 + m, 1 : 1 + m],
+        Theta=a[1 + m :, 1 + m :],
+        ThetaC=a[1 + m :, :1],
+        ThetaM=a[1 + m :, 1 : 1 + m],
+        open_sccs=(2,),
+        closed_sizes=(1,),
+        moderate_sizes=(m,),
+        open_sizes=(k,),
+    )
+
+
+class TestBitsOfTheReplacedForms:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        sparse_irreducible_blocks(),
+        sparse_irreducible_blocks(),
+        st.floats(0.05, 0.95),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_solves_match_the_eye_oracle(self, moderate, block, scale, seed):
+        assert left_perron_vector(moderate).tobytes() == eye_left_perron_vector(moderate).tobytes()
+        rng = np.random.default_rng(seed)
+        d = three_part_decomposition(moderate, block * scale, rng)
+        signed_zeros = np.where(rng.random(d.n) < 0.5, -0.0, 0.0)
+        y = np.where(rng.random(d.n) < 0.3, signed_zeros, rng.normal(size=d.n))
+        for x in (y, signed_zeros):
+            assert fvct_canonical(d, x).tobytes() == eye_fvct_canonical(d, x).tobytes()
+
+    def test_late_states_match_the_ix_and_eye_oracles(self):
+        rng = np.random.default_rng(53)
+        states = epoch_start_states(rng, runs=10)
+        for kind in Model:
+            for run in range(3):
+                traj = simulate(draw_state(kind, 60, run, 7), max_steps=2000)
+                states.extend(traj.state_at_index(k) for k in (len(traj.times) // 2, -1))
+        open_parts = 0
+        for state in states:
+            g = build_digraph(state)
+            a = adjacency_matrix(g)
+            d = canonical_decomposition(a, g.classification)
+            want = ix_canonical_decomposition(a, g.classification)
+            assert d.matrix.flags.c_contiguous
+            for name in ("matrix", "C", "M", "Theta", "ThetaC", "ThetaM"):
+                got, ref = getattr(d, name), getattr(want, name)
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+            limit = eye_fvct_canonical(want, state.opinions).tobytes()
+            assert fvct_canonical(d, state.opinions).tobytes() == limit
+            assert fvct(state).tobytes() == limit
+            open_parts += d.n_open > 0 and d.n_moderate > 0
+        assert open_parts > 10

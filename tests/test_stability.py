@@ -538,15 +538,15 @@ class TestStabilityReport:
 
     def test_weak_components_run_on_the_condensation_only(self, monkeypatch):
         # The WCCs of the state come from classify's flood fill over the
-        # condensation, so no input has a row per agent when the state and
-        # its fvct both have fewer SCCs than agents.
+        # condensation, so no input has a row or a bit per agent when the
+        # state and its fvct both have fewer SCCs than agents.
         from opinion_lab import graph
 
         original, sizes = graph.weak_components, []
 
-        def recorded(mask):
-            sizes.append(mask.shape)
-            return original(mask)
+        def recorded(rows, nodes):
+            sizes.append((len(rows), max([nodes, *rows]).bit_length()))
+            return original(rows, nodes)
 
         rng = np.random.default_rng(233)
         states = list(edge_states(rng)) + [grid_state(rng) for _ in range(40)]
@@ -559,7 +559,7 @@ class TestStabilityReport:
         for state, k in zip(states, sccs):
             sizes.clear()
             stability_report(state)
-            assert sizes and all(rows == cols <= k for rows, cols in sizes)
+            assert sizes and all(bits <= rows <= k for rows, bits in sizes)
 
 
 class TestExtremeMagnitudes:
