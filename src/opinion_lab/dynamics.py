@@ -22,10 +22,12 @@ from opinion_lab.state import Model, OpinionState
 
 @cache
 def _label_keys(n: int) -> np.ndarray:
+    """h(0) .. h(n-1) as the ``(n, 2)`` float64 limbs (h mod 2**32, h >> 32)."""
     z = np.arange(n, dtype=np.uint64) + np.uint64(0x9E3779B97F4A7C15)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    z ^= z >> np.uint64(31)
+    return np.stack([z & np.uint64(2**32 - 1), z >> np.uint64(32)], axis=1).astype(float)
 
 
 def digraph_hash(g: ProximityDigraph) -> str:
@@ -33,7 +35,9 @@ def digraph_hash(g: ProximityDigraph) -> str:
     S_0 .. S_{n-1}, each as 8 little-endian bytes, where S_i is the sum mod
     2**64 of h(j) = splitmix64(j), the first output of SplitMix64 seeded with
     j, over the edges (i, j).  A sum ignores order, so prefix sums over sorted
-    neighbour ranges give every S_i in O(n).  It replaced a sha256 of the edge list."""
+    neighbour ranges give every S_i in O(n).  It replaced a sha256 of the edge
+    list.  The sums come from the 0/1 float cast that the averaging matrix
+    then scales."""
     sums = g.key_sums(_label_keys(g.n))
     return hashlib.sha256(g.n.to_bytes(8, "little") + sums.astype("<u8").tobytes()).hexdigest()[:16]
 
@@ -111,24 +115,37 @@ class Trajectory:
             fh.write("\n")
 
 
-@dataclass(eq=False)
 class Epoch:
     """One topology epoch: from step ``start`` the opinions keep the
     proximity mask of ``state``, the epoch's first state.  The digraph, its
     label, the averaging matrix, ε and the rest are computed on first use;
-    the classification is the digraph's, shared by every epoch holding it."""
+    the classification is the digraph's, shared by every epoch holding it.
 
-    start: int
-    state: OpinionState
-    _digraph: Optional[ProximityDigraph] = field(default=None, repr=False)  # state's, if known
-    _limit: Optional[np.ndarray] = field(default=None, repr=False)
-    # A state of the epoch and the box around it that keeps its mask.
-    _anchor: Optional[np.ndarray] = field(default=None, repr=False)
-    _radius: Optional[np.ndarray] = field(default=None, repr=False)
+    An epoch that ``simulate`` opens keeps its first opinions and the run's
+    state, and builds ``state`` from them when it is read."""
+
+    def __init__(
+        self,
+        start: int,
+        state: OpinionState,
+        _digraph: Optional[ProximityDigraph] = None,  # state's, if known
+        _first: Optional[np.ndarray] = None,  # the first opinions, if not state's
+    ):
+        self.start, self._run, self._digraph, self._limit = start, state, _digraph, None
+        # A state of the epoch and the box around it that keeps its mask.
+        self._anchor: Optional[np.ndarray] = None
+        self._radius: Optional[np.ndarray] = None
+        self._first = state.opinions if _first is None else _first
+        if _first is None:
+            self.state = state
+
+    @cached_property
+    def state(self) -> OpinionState:
+        return self._run.with_opinions(self._first)
 
     @cached_property
     def epsilon(self) -> np.ndarray:
-        return _epsilon(self.state.opinions, self.state.bounds)
+        return _epsilon(self._first, self._run.bounds)
 
     @cached_property
     def digraph(self) -> ProximityDigraph:
@@ -150,7 +167,7 @@ class Epoch:
         """Final value at constant topology of the epoch's first state (the
         same for every state of the epoch), computed once."""
         if self._limit is None:
-            self._limit = fvct_canonical(self.decomposition, self.state.opinions)
+            self._limit = fvct_canonical(self.decomposition, self._first)
         return self._limit
 
     def _step(self, x: np.ndarray) -> np.ndarray:
@@ -169,14 +186,14 @@ class Epoch:
 
     def at(self, opinions) -> Epoch:
         """The epoch of ``opinions`` under this epoch's bounds and model, from
-        the same step, with its digraph and ε read from one distance matrix.
+        the same step, with its digraph and ε read from one slack matrix.
         If the digraph is this epoch's, the new one holds the same digraph
         object and with it the same classification.  This epoch's anchor
         stays where it is."""
-        state = self.state.with_opinions(opinions)
-        g, dist = self.digraph.at(state.opinions, state.bounds, state.kind)
+        state = self._run.with_opinions(opinions)
+        g, slack = self.digraph.at(state.opinions, state.bounds, state.kind)
         at = Epoch(self.start, state, g)
-        at.epsilon = _equi_topology_radius(dist, state.bounds)
+        at.epsilon = _equi_topology_radius(slack)
         return at
 
 
@@ -195,10 +212,10 @@ _RADIUS_FLOOR = 2.0**-1020
 _ANCHOR_CEILING = 2.0**1000
 
 
-def _anchor_radius(dist: np.ndarray, a: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The radii rho of the box around anchor ``a`` with distance matrix
-    ``dist`` and bounds ``r``."""
-    eps = _equi_topology_radius(dist, r)
+def _anchor_radius(slack: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The radii rho of the box around anchor ``a`` with signed slacks
+    ``slack``, which it overwrites."""
+    eps = _equi_topology_radius(slack)
     size = float(np.abs(a).max())
     rho = eps * (1.0 - 8 * _U) - 8 * _U * size
     return np.where((eps >= _RADIUS_FLOOR) & (size < _ANCHOR_CEILING), rho, 0.0)
@@ -207,7 +224,8 @@ def _anchor_radius(dist: np.ndarray, a: np.ndarray, r: np.ndarray) -> np.ndarray
 def _epoch_at(epoch: Optional[Epoch], t: int, x: np.ndarray, state: OpinionState, log: list):
     """The epoch of opinions ``x`` at step ``t``: ``epoch`` while ``x`` keeps
     its proximity mask, else a new epoch from ``t``, logged as ``(t, label)``
-    in ``log``.  ``state`` supplies the bounds and the model.
+    in ``log``.  ``state`` supplies the bounds and the model; ``x`` is not
+    written after the call.
 
     Inside the box of the epoch's anchor the mask is known to be kept;
     elsewhere it is compared exactly, and a state that keeps it becomes the
@@ -218,11 +236,11 @@ def _epoch_at(epoch: Optional[Epoch], t: int, x: np.ndarray, state: OpinionState
     if epoch is not None:
         if epoch._anchor is not None and (np.abs(x - epoch._anchor) < epoch._radius).all():
             return epoch
-        g, dist = epoch.digraph.at(x, state.bounds, state.kind)
+        g, slack = epoch.digraph.at(x, state.bounds, state.kind)
         if g is epoch.digraph:
-            epoch._anchor, epoch._radius = x, _anchor_radius(dist, x, state.bounds)
+            epoch._anchor, epoch._radius = x, _anchor_radius(slack, x)
             return epoch
-    epoch = Epoch(t, state.with_opinions(x), g)
+    epoch = Epoch(t, state, g, x)
     log.append((t, epoch.label))
     return epoch
 

@@ -17,6 +17,10 @@ import numpy as np
 from opinion_lab.state import Model, OpinionState
 
 
+# A key's value from its two 32-bit limbs, mod 2**64 as uint64 products wrap.
+_LIMB_WEIGHTS = np.array([1, 2**32], dtype=np.uint64)
+
+
 @dataclass(frozen=True, eq=False)
 class ProximityDigraph:
     """The proximity relation as its validated boolean matrix: ``mask[i, j]``
@@ -25,6 +29,7 @@ class ProximityDigraph:
     computed on first use, once per digraph object."""
 
     mask: np.ndarray = field(repr=False)
+    _cast = None  # the 0/1 float cast of the mask, between key_sums and _take_cast
 
     def __post_init__(self) -> None:
         mask = np.asarray(self.mask, dtype=bool)
@@ -67,25 +72,31 @@ class ProximityDigraph:
     def at(self, y: np.ndarray, r: np.ndarray, kind: Model) -> tuple:
         """The digraph of opinions ``y`` under validated bounds ``r`` and
         model ``kind``, decided exactly: this same object iff y has exactly
-        this digraph's edges, else a new digraph.  Second, the pairwise
-        distances of y, from which ``_equi_topology_radius`` reads ε."""
-        dist = _distances(y)
-        mask = _neighbor_mask(dist, r, kind)
-        return (self if not (mask != self.mask).any() else ProximityDigraph(mask)), dist
+        this digraph's edges, else a new digraph.  Second, the signed slacks
+        ``_slacks(y, r, kind)``, from which ``_equi_topology_radius`` reads
+        ε in place."""
+        slack = _slacks(y, r, kind)
+        far = _far(slack, kind)
+        # Kept iff every edge is near and every non-edge far.
+        return (self if not (far == self.mask).any() else ProximityDigraph(~far)), slack
 
-    def key_sums(self, keys: np.ndarray) -> np.ndarray:
-        """Per node i, the sum mod 2**64 of the uint64 ``keys[j]`` over its
-        out-neighbours j.  A sum ignores order, so the rows are summed in
-        blocks of at most 2**16 terms (one row if n is larger) and the
-        temporary stays that small however many edges there are."""
-        rows = max(1, 2**16 // self.n)
-        return np.concatenate(
-            [self.mask[k : k + rows].astype(np.uint64) @ keys for k in range(0, self.n, rows)]
-        )
+    def key_sums(self, limbs: np.ndarray) -> np.ndarray:
+        """Per node i, the sum mod 2**64 of uint64 keys k_j over its
+        out-neighbours j, the keys given as the ``(n, 2)`` float64 limbs
+        ``(k_j mod 2**32, k_j >> 32)``.  One BLAS product of the 0/1 float
+        cast of the mask with the limbs sums each limb exactly while
+        n < 2**21, as every partial sum is an integer below 2**53.  The cast
+        is kept for ``_take_cast``, so the averaging matrix scales it."""
+        if self._cast is None:
+            object.__setattr__(self, "_cast", self.mask.astype(float))
+        return (self._cast @ limbs).astype(np.uint64) @ _LIMB_WEIGHTS
 
-    def dense(self) -> np.ndarray:
-        """The adjacency as a dense n×n boolean array, not to be written."""
-        return self.mask
+    def _take_cast(self) -> np.ndarray:
+        """The mask as a 0/1 float64 array the caller may write: the cast
+        ``key_sums`` read, handed over once, else a new one."""
+        cast = self._cast
+        object.__setattr__(self, "_cast", None)
+        return self.mask.astype(float) if cast is None else cast
 
 
 class SccClass(str, Enum):
@@ -135,7 +146,7 @@ class Classification:
 def proximity_mask(state: OpinionState) -> np.ndarray:
     """Boolean edge matrix of the neighbor inequality, unvalidated (cheap
     enough for per-step change detection)."""
-    return _neighbor_mask(_distances(state.opinions), state.bounds, state.kind)
+    return ~_far(_slacks(state.opinions, state.bounds, state.kind), state.kind)
 
 
 def _distances(y: np.ndarray) -> np.ndarray:
@@ -144,26 +155,39 @@ def _distances(y: np.ndarray) -> np.ndarray:
     return np.abs(dist, out=dist)
 
 
-def _neighbor_mask(dist: np.ndarray, r: np.ndarray, kind: Model) -> np.ndarray:
-    """``proximity_mask`` on the distance matrix and bare bounds, for loops
-    that step opinions under fixed, already validated bounds."""
-    if kind is Model.SBC:
-        return dist <= r[:, None]
-    return dist <= r[None, :]
-
-
-def _equi_topology_radius(dist: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Per agent, half the smallest slack ``|dist_ij - r|`` between its
-    distance to another agent and either agent's bound, from the distance
-    matrix: the same for both models, as each takes both bounds.
-
-    Row i of ``|dist - r_i|`` holds the slacks against i's own bound and
-    column i those against the others'.  A single agent has none and gets
-    +inf.  A slack against an infinite bound is +inf, also where the
-    distance overflowed to inf: inf - inf is NaN, which fmin skips.
-    """
+def _slacks(y: np.ndarray, r: np.ndarray, kind: Model) -> np.ndarray:
+    """The signed slacks ``fl(|y_i - y_j|) - r_i`` of opinions ``y``
+    against the row agent's bound, written over the distance matrix.  A
+    rounded difference has the sign of the exact one, so slack[i, j] <= 0
+    iff the distance is at most r_i; it is NaN only where a distance that
+    overflowed to inf meets an infinite bound, which holds it.  Under SBI,
+    whose edges take the column agent's bound, they are the transpose of
+    ``dist - r_j``, equal bit for bit as fl(a - b) = -fl(b - a), so that
+    ``_far`` reads both models' masks from C-ordered rows."""
+    slack, sbi = _distances(y), kind is Model.SBI
     with np.errstate(invalid="ignore"):
-        slack = dist - r[:, None]
+        np.subtract(slack, r if sbi else r[:, None], out=slack)
+    return slack.T if sbi else slack
+
+
+def _far(slack: np.ndarray, kind: Model) -> np.ndarray:
+    """Per pair (i, j), C-contiguous, whether j is not an out-neighbor of i:
+    the slack against the bound that decides the edge is positive, i's own
+    under SBC and j's under SBI."""
+    return (slack.T if kind is Model.SBI else slack) > 0.0
+
+
+def _equi_topology_radius(slack: np.ndarray) -> np.ndarray:
+    """Per agent, half the smallest slack ``|dist_ij - r|`` between its
+    distance to another agent and either agent's bound, from the signed
+    slacks of ``_slacks``, which it overwrites: the same for both models,
+    as each takes both bounds.
+
+    Row i of the slacks holds those against i's own bound and column i
+    those against the others'.  A single agent has none and gets +inf.  A
+    slack against an infinite bound is +inf, also where the distance
+    overflowed to inf: inf - inf is NaN, which fmin skips.
+    """
     np.abs(slack, out=slack)
     np.fill_diagonal(slack, math.inf)
     return 0.5 * np.fmin(np.fmin.reduce(slack, axis=0), np.fmin.reduce(slack, axis=1))
@@ -171,7 +195,7 @@ def _equi_topology_radius(dist: np.ndarray, r: np.ndarray) -> np.ndarray:
 
 def _epsilon(y: np.ndarray, r: np.ndarray) -> np.ndarray:
     """``_equi_topology_radius`` of opinions ``y`` under bounds ``r``."""
-    return _equi_topology_radius(_distances(y), r)
+    return _equi_topology_radius(_slacks(y, r, Model.SBC))
 
 
 def build_digraph(state: OpinionState) -> ProximityDigraph:
@@ -254,7 +278,7 @@ def classify(g: ProximityDigraph) -> Classification:
     out = [functools.reduce(int.__or__, [rows[v] for v in members]) for members in sccs]
     ks, cols = np.nonzero(_bit_matrix(out, g.n))
     cond = np.zeros((len(sccs), len(sccs)), dtype=bool)
-    cond[ks, np.take(scc_of, cols)] = True
+    cond[ks, np.fromiter(scc_of, np.intp, g.n)[cols]] = True
     np.fill_diagonal(cond, False)
     condensation = tuple(tuple(np.flatnonzero(row).tolist()) for row in cond)
 

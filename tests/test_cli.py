@@ -6,6 +6,7 @@ import pytest
 from opinion_lab.cli import InputError, build_parser, load_state, load_trajectory_csv, main
 from opinion_lab.dynamics import Termination, simulate
 from opinion_lab.experiment import draw_state
+from opinion_lab.graph import ProximityDigraph
 from opinion_lab.leader import RATE_MIN_STATES, analyze_final_topology, verify_rate_prediction
 from opinion_lab.state import Model, OpinionState
 
@@ -348,20 +349,32 @@ class TestOtherCommands:
         main(["simulate", "--state", str(path), "--out-prefix", prefix])
         events = json.loads(capsys.readouterr().out)
         state = load_state(str(path), "sbc")
-        # Rows are compared as bare vectors; a state is built per epoch.
-        built = []
-        with_opinions = OpinionState.with_opinions
+        # Rows are compared as bare vectors; a digraph is built per epoch,
+        # and a state only for an epoch whose state is read, once: here the
+        # first epoch's, for its digraph.
+        built, digraphs = [], []
+        with_opinions, post_init = OpinionState.with_opinions, ProximityDigraph.__post_init__
 
         def counted_state(self, opinions):
             built.append(opinions)
             return with_opinions(self, opinions)
 
+        def counted_digraph(self):
+            digraphs.append(self)
+            post_init(self)
+
         monkeypatch.setattr(OpinionState, "with_opinions", counted_state)
+        monkeypatch.setattr(ProximityDigraph, "__post_init__", counted_digraph)
         loaded = load_trajectory_csv(prefix + "_trajectory.csv", state)
         assert len(events["epochs"]) > 1
         assert [{"t": t, "hash": h} for t, h in loaded.topology_epochs] == events["epochs"]
-        assert len(built) == len(events["epochs"]) < len(loaded.times)
+        assert len(digraphs) == len(events["epochs"]) < len(loaded.times)
+        assert len(built) == 1
         assert (loaded.final_epoch.start, loaded.final_epoch.label) == loaded.topology_epochs[-1]
+        final = loaded.final_epoch
+        assert final.state is final.state and len(built) == 2
+        first = loaded.states[loaded.times.index(final.start)]
+        assert final.state.opinions.tobytes() == first.tobytes()
 
     def test_trajectory_loader_validates(self, three_agent_json, tmp_path):
         state = load_state(three_agent_json, "sbc")

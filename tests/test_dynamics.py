@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opinion_lab import (
     Model,
@@ -21,11 +23,13 @@ from opinion_lab import dynamics
 from opinion_lab.cli import load_trajectory_csv
 from opinion_lab.dynamics import Epoch
 from opinion_lab.experiment import draw_state
-from opinion_lab.graph import ProximityDigraph, _distances, _equi_topology_radius, _neighbor_mask
+from opinion_lab.graph import ProximityDigraph, _distances
 from opinion_lab.stability import equi_topology_distance
 
 from conftest import (
     count_calls,
+    distance_equi_topology_radius,
+    distance_neighbor_mask,
     edge_states,
     epoch_start_states,
     grid_state,
@@ -67,20 +71,23 @@ class TestLabel:
         assert digraph_hash(g) == reference_digraph_hash(g)
 
     def test_the_label_temporary_stays_small(self):
-        # A dense uint64 copy of this 2 %-full n = 2000 mask would take
-        # 32 MB; the key sums are taken over row blocks instead.
+        # The first label of this 2 %-full n = 2000 mask makes the one
+        # 32 MB float cast that the averaging matrix will scale and keeps
+        # it on the digraph; a second label reads that cast and allocates
+        # only its n x 2 sums.
         import tracemalloc
 
         rng = np.random.default_rng(71)
         g = build_digraph(OpinionState(rng.uniform(0.0, 1.0, 2000), np.full(2000, 0.01), Model.SBC))
         digraph_hash(g)
+        cast = g._cast
         tracemalloc.start()
         try:
             label = digraph_hash(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2**20
+        assert peak < 2 * 2**20 and g._cast is cast
         assert label == reference_digraph_hash(g)
 
     def test_label_is_sixteen_hex_digits_of_the_mask(self):
@@ -90,6 +97,70 @@ class TestLabel:
             label = digraph_hash(build_digraph(state))
             assert len(label) == 16 and int(label, 16) >= 0
             assert label == Epoch(0, state).label
+
+
+def scaled_cast(g):
+    """The averaging matrix from a fresh float cast of the mask."""
+    a = g.mask.astype(float)
+    a *= (1.0 / a.sum(axis=1))[:, None]
+    return a
+
+
+@st.composite
+def wide_masks(draw):
+    """Masks with self-loops, n 1-300, of any density."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (rng.random((n, n)) < draw(st.floats(0.0, 1.0))) | np.eye(n, dtype=bool)
+
+
+class TestOneCast:
+    """The label's key sums come from the 0/1 float cast of the mask that
+    the averaging matrix then scales: the label of the edge-by-edge
+    reference and the matrix of a fresh cast, bit for bit, in either read
+    order."""
+
+    @staticmethod
+    def assert_both_orders(g_of):
+        for label_first in (True, False):
+            g = g_of()
+            if label_first:
+                label = digraph_hash(g)
+                cast = g._cast
+                a = adjacency_matrix(g)
+                assert a is cast  # the label's cast, handed over
+            else:
+                a = adjacency_matrix(g)
+                label = digraph_hash(g)
+            want = scaled_cast(g)
+            assert (a.dtype, a.strides) == (want.dtype, want.strides)
+            assert a.tobytes() == want.tobytes()
+            assert label == reference_digraph_hash(g)
+            # A second matrix is its own array, of the same bits.
+            again = adjacency_matrix(g)
+            assert again is not a and again.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(wide_masks())
+    def test_hypothesis_masks(self, mask):
+        self.assert_both_orders(lambda: ProximityDigraph(mask))
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 300])
+    def test_complete_mask(self, n):
+        self.assert_both_orders(lambda: ProximityDigraph(np.ones((n, n), dtype=bool)))
+
+    def test_states(self):
+        rng = np.random.default_rng(257)
+        states = list(edge_states(rng)) + [grid_state(rng) for _ in range(40)]
+        states.extend(epoch_start_states(rng, runs=3))
+        for state in states:
+            self.assert_both_orders(lambda: build_digraph(state))
+            for order in (("label", "matrix"), ("matrix", "label")):
+                epoch = Epoch(0, state)
+                for name in order:
+                    getattr(epoch, name)
+                assert epoch.label == reference_digraph_hash(epoch.digraph)
+                assert epoch.matrix.tobytes() == scaled_cast(epoch.digraph).tobytes()
 
 
 class TestWithOpinions:
@@ -273,8 +344,14 @@ class TestSimulate:
         traj = simulate(state)
         assert len(traj.topology_epochs) > 1
         assert len(calls) == len(traj.topology_epochs) < traj.times[-1]
-        assert len(states) == len(traj.topology_epochs)
+        # Only the first epoch's state is read, by its digraph build; an
+        # epoch's state is built when read, once.
+        assert len(states) == 1 and states[0].tobytes() == state.opinions.tobytes()
         epoch = traj.final_epoch
+        first = traj.states[traj.times.index(epoch.start)]
+        assert epoch.state is epoch.state and len(states) == 2
+        assert epoch.state.opinions.tobytes() == first.tobytes()
+        assert epoch.state.bounds is state.bounds and epoch.state.kind is state.kind
         assert epoch.digraph == build_digraph(epoch.state)
 
     @pytest.mark.parametrize("record_every", [1, 5])
@@ -387,7 +464,8 @@ class TestAnchorBox:
     @staticmethod
     def box(state):
         a = state.opinions
-        return dynamics._anchor_radius(_distances(a), a, state.bounds)
+        with np.errstate(invalid="ignore"):
+            return dynamics._anchor_radius(_distances(a) - state.bounds[:, None], a)
 
     @staticmethod
     def inside(rng, a, rho):
@@ -413,10 +491,10 @@ class TestAnchorBox:
             a, r = state.opinions, state.bounds
             rho = self.box(state)
             assert (rho <= equi_topology_distance(state)).all()
-            want = _neighbor_mask(_distances(a), r, state.kind)
+            want = distance_neighbor_mask(_distances(a), r, state.kind)
             boxes += bool((rho > 0).all())
             for x in self.inside(rng, a, rho):
-                assert np.array_equal(_neighbor_mask(_distances(x), r, state.kind), want)
+                assert np.array_equal(distance_neighbor_mask(_distances(x), r, state.kind), want)
                 if (rho > 0).all():
                     assert (np.abs(x - a) < rho).all()
                     points += 1
@@ -453,8 +531,8 @@ class TestAnchorBox:
             x[lo] += toward * step
             x[hi] -= toward * step
             assert not (np.abs(x - a) < self.box(state)).all()
-            mask_a = _neighbor_mask(dist, r, state.kind)
-            assert not np.array_equal(_neighbor_mask(_distances(x), r, state.kind), mask_a)
+            mask_a = distance_neighbor_mask(dist, r, state.kind)
+            assert not np.array_equal(distance_neighbor_mask(_distances(x), r, state.kind), mask_a)
             crossed += 1
         assert crossed > 50
 
@@ -634,7 +712,7 @@ class TestEpochAt:
         from opinion_lab.graph import proximity_mask
 
         def two_step(y, r):
-            return _equi_topology_radius(_distances(y), r)
+            return distance_equi_topology_radius(_distances(y), r)
 
         rng = np.random.default_rng(223)
         kept = changed = anchored = 0

@@ -16,13 +16,16 @@ from opinion_lab import (
     simulate,
     strongly_connected_components,
 )
+from opinion_lab import dynamics
 from opinion_lab.dynamics import Epoch
 from opinion_lab.experiment import draw_state
 from opinion_lab.graph import (
     ProximityDigraph,
     _bit_rows,
     _distances,
-    _neighbor_mask,
+    _epsilon,
+    _equi_topology_radius,
+    _slacks,
     proximity_mask,
     weak_components,
 )
@@ -38,6 +41,8 @@ from conftest import (
     condensation_oracle,
     digraph_json_oracle,
     digraph_oracle,
+    distance_equi_topology_radius,
+    distance_neighbor_mask,
     edge_states,
     epoch_start_states,
     grid_state,
@@ -205,12 +210,73 @@ class TestProximityDigraph:
         for state in states:
             g, r, kind = build_digraph(state), state.bounds, state.kind
             for x in self.moved(rng, state.opinions):
-                got, dist = g.at(x, r, kind)
-                want = _neighbor_mask(_distances(x), r, kind)
+                got, slack = g.at(x, r, kind)
+                want = distance_neighbor_mask(_distances(x), r, kind)
                 assert (got is g) == np.array_equal(want, g.mask)
-                assert np.array_equal(got.mask, want) and np.array_equal(dist, _distances(x))
+                assert np.array_equal(got.mask, want)
+                with np.errstate(invalid="ignore"):
+                    assert slack.tobytes() == (_distances(x) - r[:, None]).tobytes()
                 kept, changed = kept + (got is g), changed + (got is not g)
         assert kept > 1000 and changed > 300
+
+
+def slack_states(rng):
+    """``edge_states`` under both models (infinite bounds, opinions and
+    bounds near ±1e300 and subnormal ones), 1/16-grid ties, and distances
+    that overflow to inf, against finite and infinite bounds."""
+    states = list(edge_states(rng)) + [grid_state(rng) for _ in range(30)]
+    states.append(OpinionState([-1e308, 1e308, 0.0], [np.inf, 1.0, 5e307]))
+    states.append(OpinionState([-1e308, 1e308, 1e308], [np.inf, np.inf, 1.0]))
+    for state in states:
+        for kind in Model:
+            yield OpinionState(state.opinions, state.bounds, kind)
+
+
+class TestSlacks:
+    """The mask and ε read from the signed slacks ``fl(|y_i - y_j|) - r_i``
+    against the forms that read them from the distance matrix."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_masks_are_c_contiguous_bool_with_a_true_diagonal(self):
+        def assert_mask(g, want):
+            m = g.mask
+            assert m.dtype == bool and m.flags.c_contiguous and m.diagonal().all()
+            assert np.array_equal(m, want)
+
+        rng = np.random.default_rng(263)
+        for state in slack_states(rng):
+            r, kind = state.bounds, state.kind
+            g = build_digraph(state)
+            assert_mask(g, distance_neighbor_mask(_distances(state.opinions), r, kind))
+            y = state.opinions
+            # Opinions spread beyond the largest double are only reordered.
+            spread = np.isfinite(y.max() - y.min())
+            for x in TestProximityDigraph.moved(rng, y) if spread else (y[::-1].copy(), y.copy()):
+                assert_mask(g.at(x, r, kind)[0], distance_neighbor_mask(_distances(x), r, kind))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_epsilon_from_the_slacks_is_the_distance_form(self):
+        rng = np.random.default_rng(269)
+        for state in slack_states(rng):
+            y, r = state.opinions, state.bounds
+            want = distance_equi_topology_radius(_distances(y), r).tobytes()
+            with np.errstate(invalid="ignore"):
+                assert _slacks(y, r, state.kind).tobytes() == (_distances(y) - r[:, None]).tobytes()
+            assert _epsilon(y, r).tobytes() == want
+            assert Epoch(0, state).epsilon.tobytes() == want
+            assert equi_topology_distance(state).tobytes() == want
+            g = build_digraph(state)
+            assert _equi_topology_radius(g.at(y, r, state.kind)[1]).tobytes() == want
+            x = rng.permutation(y)
+            assert Epoch(0, state).at(x).epsilon.tobytes() == (
+                distance_equi_topology_radius(_distances(x), r).tobytes()
+            )
+            # The anchor box from the slacks: the radii of the distance form.
+            eps = distance_equi_topology_radius(_distances(y), r)
+            size = float(np.abs(y).max())
+            rho = eps * (1.0 - 8 * dynamics._U) - 8 * dynamics._U * size
+            rho = np.where((eps >= dynamics._RADIUS_FLOOR) & (size < dynamics._ANCHOR_CEILING), rho, 0.0)
+            assert dynamics._anchor_radius(_slacks(y, r, state.kind), y).tobytes() == rho.tobytes()
 
 
 class TestDigraphJson:
