@@ -103,7 +103,9 @@ def load_trajectory_csv(path, state: OpinionState) -> Trajectory:
     states = np.array(rows)
     if not np.isfinite(states).all():
         raise InputError(f"{path}: opinions must be finite")
-    # Rebuild topology epochs from the recorded states.
+    # Rebuild topology epochs from the recorded states.  The epochs keep
+    # rows of them and read their opinions later, so they are not writable.
+    states.flags.writeable = False
     epochs, epoch = [], None
     for t, x in zip(times, states):
         epoch = _epoch_at(epoch, t, x, state, epochs)

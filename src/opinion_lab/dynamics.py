@@ -35,9 +35,7 @@ def digraph_hash(g: ProximityDigraph) -> str:
     S_0 .. S_{n-1}, each as 8 little-endian bytes, where S_i is the sum mod
     2**64 of h(j) = splitmix64(j), the first output of SplitMix64 seeded with
     j, over the edges (i, j).  A sum ignores order, so prefix sums over sorted
-    neighbour ranges give every S_i in O(n).  It replaced a sha256 of the edge
-    list.  The sums come from the 0/1 float cast that the averaging matrix
-    then scales."""
+    neighbour ranges give every S_i in O(n).  It replaced a sha256 of the edge list."""
     sums = g.key_sums(_label_keys(g.n))
     return hashlib.sha256(g.n.to_bytes(8, "little") + sums.astype("<u8").tobytes()).hexdigest()[:16]
 
@@ -224,8 +222,8 @@ def _anchor_radius(slack: np.ndarray, a: np.ndarray) -> np.ndarray:
 def _epoch_at(epoch: Optional[Epoch], t: int, x: np.ndarray, state: OpinionState, log: list):
     """The epoch of opinions ``x`` at step ``t``: ``epoch`` while ``x`` keeps
     its proximity mask, else a new epoch from ``t``, logged as ``(t, label)``
-    in ``log``.  ``state`` supplies the bounds and the model; ``x`` is not
-    written after the call.
+    in ``log``.  ``state`` supplies the bounds and the model; the epochs keep
+    ``x``, which the caller does not write after the call.
 
     Inside the box of the epoch's anchor the mask is known to be kept;
     elsewhere it is compared exactly, and a state that keeps it becomes the

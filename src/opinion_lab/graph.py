@@ -19,6 +19,8 @@ from opinion_lab.state import Model, OpinionState
 
 # A key's value from its two 32-bit limbs, mod 2**64 as uint64 products wrap.
 _LIMB_WEIGHTS = np.array([1, 2**32], dtype=np.uint64)
+# The most mask entries that key_sums casts at once: 512 KB as float64.
+_CAST_BLOCK = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,7 +31,9 @@ class ProximityDigraph:
     computed on first use, once per digraph object."""
 
     mask: np.ndarray = field(repr=False)
-    _cast = None  # the 0/1 float cast of the mask, between key_sums and _take_cast
+    # Not a field, as the mask alone is the digraph: the float cast of a
+    # mask of at most _CAST_BLOCK entries, from key_sums until float_mask.
+    _cast = None
 
     def __post_init__(self) -> None:
         mask = np.asarray(self.mask, dtype=bool)
@@ -83,17 +87,27 @@ class ProximityDigraph:
     def key_sums(self, limbs: np.ndarray) -> np.ndarray:
         """Per node i, the sum mod 2**64 of uint64 keys k_j over its
         out-neighbours j, the keys given as the ``(n, 2)`` float64 limbs
-        ``(k_j mod 2**32, k_j >> 32)``.  One BLAS product of the 0/1 float
+        ``(k_j mod 2**32, k_j >> 32)``.  A BLAS product of the 0/1 float
         cast of the mask with the limbs sums each limb exactly while
-        n < 2**21, as every partial sum is an integer below 2**53.  The cast
-        is kept for ``_take_cast``, so the averaging matrix scales it."""
-        if self._cast is None:
-            object.__setattr__(self, "_cast", self.mask.astype(float))
-        return (self._cast @ limbs).astype(np.uint64) @ _LIMB_WEIGHTS
+        n < 2**21, as every partial sum is an integer below 2**53.
 
-    def _take_cast(self) -> np.ndarray:
+        The mask is cast in blocks of rows of at most ``_CAST_BLOCK``
+        entries (one row if n is larger), so the temporary stays that small
+        however many edges there are.  A mask that fits in one block keeps
+        its cast for ``float_mask``, so the averaging matrix scales it."""
+        if self.n * self.n <= _CAST_BLOCK:
+            object.__setattr__(self, "_cast", self.mask.astype(float))
+            sums = self._cast @ limbs
+        else:
+            rows = max(1, _CAST_BLOCK // self.n)
+            sums = np.concatenate(
+                [self.mask[k : k + rows].astype(float) @ limbs for k in range(0, self.n, rows)]
+            )
+        return sums.astype(np.uint64) @ _LIMB_WEIGHTS
+
+    def float_mask(self) -> np.ndarray:
         """The mask as a 0/1 float64 array the caller may write: the cast
-        ``key_sums`` read, handed over once, else a new one."""
+        that ``key_sums`` kept, handed over once, else a new one."""
         cast = self._cast
         object.__setattr__(self, "_cast", None)
         return self.mask.astype(float) if cast is None else cast

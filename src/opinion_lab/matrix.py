@@ -22,8 +22,8 @@ def adjacency_matrix(g: ProximityDigraph) -> np.ndarray:
     """Row-stochastic averaging matrix: row i is uniform on N_i.  Row i is
     scaled by fl(1/|N_i|), which is what 1/|N_i| rounds to, so one float
     cast of the 0/1 adjacency and one product give the bits of a division.
-    The cast is the one the digraph's label read, if it did."""
-    a = g._take_cast()
+    The cast is the one the digraph's label kept, if it kept one."""
+    a = g.float_mask()
     a *= (1.0 / a.sum(axis=1))[:, None]
     return a
 

@@ -151,8 +151,14 @@ def check_agreement_sufficient(state: OpinionState | Epoch) -> AgreementSufficie
     wccs = epoch.digraph.classification.wccs
     lows, highs = _wcc_ranges(y, wccs)
     intervals = list(zip(lows.tolist(), highs.tolist()))
+    max_bound = _wcc_ranges(r, wccs)[1].tolist()
 
-    separated = _separated(lows, highs, _wcc_ranges(r, wccs)[1]).tolist()
+    separated = [True] * len(wccs)
+    for a in range(len(wccs)):
+        for b in range(a + 1, len(wccs)):
+            (lo_a, hi_a), (lo_b, hi_b) = intervals[a], intervals[b]
+            if max(lo_b - hi_a, lo_a - hi_b) <= max(max_bound[a], max_bound[b]):
+                separated[a] = separated[b] = False
 
     verdicts = []
     for w, (lo, hi), sep in zip(wccs, intervals, separated):
@@ -164,45 +170,6 @@ def check_agreement_sufficient(state: OpinionState | Epoch) -> AgreementSufficie
         separation_ok=all(v.separated for v in verdicts),
         bounds_ok=all(v.bound_condition for v in verdicts),
     )
-
-
-def _first_false(holds, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per entry, the least k in [lo, hi) at which ``holds(k)`` is false,
-    else hi, for a test that is true and then false over each range: one
-    vectorised binary search."""
-    while (open_ := lo < hi).any():
-        mid = (lo + hi) // 2
-        true = holds(np.minimum(mid, len(lo) - 1))  # a closed entry's mid may be past the end
-        lo, hi = np.where(open_ & true, mid + 1, lo), np.where(open_ & ~true, mid, hi)
-    return lo
-
-
-def _separated(lows: np.ndarray, highs: np.ndarray, reach: np.ndarray) -> np.ndarray:
-    """Per interval [lows, highs] (lows <= highs), whether every other one
-    lies strictly more than the larger of their positive ``reach`` values
-    away, the gap of a pair being ``max(lo_b - hi_a, lo_a - hi_b)``.
-
-    A pair that meets has a gap of at most 0 and fails.  Of a disjoint pair,
-    the left one a reaches the right one b iff fl(lo_b - hi_a) <= reach_a,
-    which holds for a run of the right intervals in order of their lows, and
-    b reaches a iff fl(lo_b - hi_a) <= reach_b, which holds for a run of the
-    left ones in order of their highs: each run is found by binary search
-    and marked with a difference array, in O(W log W) for W intervals."""
-    w = len(lows)
-    by_low, by_high = np.argsort(lows, kind="stable"), np.argsort(highs, kind="stable")
-    ls, hs = lows[by_low], highs[by_high]
-    right = np.searchsorted(ls, highs, "right")  # the intervals right of each start here
-    left = np.searchsorted(hs, lows, "left")  # and those left of it end before this
-    # right - left counts the intervals that meet this one, itself included.
-    hit = right - left > 1
-    with np.errstate(over="ignore"):  # a gap beyond the largest double is inf
-        end = _first_false(lambda k: ls[k] - highs <= reach, right, np.full(w, w))
-        start = _first_false(lambda k: lows - hs[k] > reach, np.zeros(w, np.intp), left)
-    hit |= (end > right) | (start < left)
-    for order, first, stop in ((by_low, right, end), (by_high, start, left)):
-        marks = np.bincount(first, minlength=w + 1) - np.bincount(stop, minlength=w + 1)
-        hit[order[np.cumsum(marks[:-1]) > 0]] = True
-    return ~hit
 
 
 @dataclass(frozen=True)

@@ -120,19 +120,6 @@ def distance_equi_topology_radius(dist, r):
     return 0.5 * np.fmin(np.fmin.reduce(slack, axis=0), np.fmin.reduce(slack, axis=1))
 
 
-def pairwise_separated(lows, highs, reach):
-    """Per interval, whether every other one lies strictly more than the
-    larger of their reach values away: the double loop over pairs that
-    ``check_agreement_sufficient`` ran before its sweep."""
-    lows, highs, reach = lows.tolist(), highs.tolist(), reach.tolist()
-    separated = [True] * len(lows)
-    for a in range(len(lows)):
-        for b in range(a + 1, len(lows)):
-            if max(lows[b] - highs[a], lows[a] - highs[b]) <= max(reach[a], reach[b]):
-                separated[a] = separated[b] = False
-    return separated
-
-
 def two_matrix_equi_topology_distance(state):
     """The equi-topology distance as it was first written: the slack matrix
     against the listener's bound and the one against the speaker's, their

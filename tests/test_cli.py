@@ -375,6 +375,9 @@ class TestOtherCommands:
         assert final.state is final.state and len(built) == 2
         first = loaded.states[loaded.times.index(final.start)]
         assert final.state.opinions.tobytes() == first.tobytes()
+        # The epochs hold rows of the states, which no caller can write.
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.states[-1, 0] = 9.0
 
     def test_trajectory_loader_validates(self, three_agent_json, tmp_path):
         state = load_state(three_agent_json, "sbc")

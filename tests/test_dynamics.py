@@ -71,24 +71,34 @@ class TestLabel:
         assert digraph_hash(g) == reference_digraph_hash(g)
 
     def test_the_label_temporary_stays_small(self):
-        # The first label of this 2 %-full n = 2000 mask makes the one
-        # 32 MB float cast that the averaging matrix will scale and keeps
-        # it on the digraph; a second label reads that cast and allocates
-        # only its n x 2 sums.
+        # A dense uint64 copy of this 2 %-full n = 2000 mask would take
+        # 32 MB; the key sums are taken over row blocks instead.
         import tracemalloc
 
         rng = np.random.default_rng(71)
         g = build_digraph(OpinionState(rng.uniform(0.0, 1.0, 2000), np.full(2000, 0.01), Model.SBC))
         digraph_hash(g)
-        cast = g._cast
         tracemalloc.start()
         try:
             label = digraph_hash(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2**20 and g._cast is cast
+        assert peak < 2 * 2**20
         assert label == reference_digraph_hash(g)
+
+    def test_a_label_keeps_at_most_one_block(self):
+        # A mask of at most 2**16 entries keeps its 0/1 float cast for the
+        # averaging matrix; a larger one keeps nothing, so the temporary
+        # bound above holds for every label, also on a fresh digraph.
+        rng = np.random.default_rng(73)
+        for n in (1, 255, 256, 257, 2000):
+            g = build_digraph(OpinionState(rng.uniform(0.0, 1.0, n), np.full(n, 0.01), Model.SBC))
+            assert digraph_hash(g) == reference_digraph_hash(g)
+            if n * n <= 2**16:
+                assert g._cast.tobytes() == g.mask.astype(float).tobytes()
+            else:
+                assert g._cast is None
 
     def test_label_is_sixteen_hex_digits_of_the_mask(self):
         rng = np.random.default_rng(67)
@@ -114,11 +124,11 @@ def wide_masks(draw):
     return (rng.random((n, n)) < draw(st.floats(0.0, 1.0))) | np.eye(n, dtype=bool)
 
 
-class TestOneCast:
-    """The label's key sums come from the 0/1 float cast of the mask that
-    the averaging matrix then scales: the label of the edge-by-edge
-    reference and the matrix of a fresh cast, bit for bit, in either read
-    order."""
+class TestLabelAndMatrix:
+    """The label's key sums come from float limbs and block casts of the
+    mask, and a one-block cast is the one the averaging matrix scales: the
+    label of the edge-by-edge reference and the matrix of a fresh cast, bit
+    for bit, in either read order."""
 
     @staticmethod
     def assert_both_orders(g_of):
@@ -128,7 +138,9 @@ class TestOneCast:
                 label = digraph_hash(g)
                 cast = g._cast
                 a = adjacency_matrix(g)
-                assert a is cast  # the label's cast, handed over
+                # A mask of at most 2**16 entries hands its label's cast
+                # over; a larger one keeps none.
+                assert a is cast if g.n**2 <= 2**16 else cast is None
             else:
                 a = adjacency_matrix(g)
                 label = digraph_hash(g)

@@ -3,8 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from opinion_lab import (
     Model,
@@ -27,7 +25,6 @@ from opinion_lab import (
 )
 from opinion_lab.graph import SccClass, proximity_mask
 from opinion_lab.matrix import fvct_canonical
-from opinion_lab.stability import _separated
 
 from conftest import (
     closure_weak_components,
@@ -38,7 +35,6 @@ from conftest import (
     loop_topology_matches_tail,
     mask_agreement_oracle,
     neighbor_lists,
-    pairwise_separated,
     random_state,
     report_json_oracle,
     two_matrix_equi_topology_distance,
@@ -307,65 +303,6 @@ class TestAgreementSufficientCondition:
                         for j in members
                     )
         assert checked == 200
-
-
-@st.composite
-def interval_sets(draw):
-    """Intervals and positive reaches, 1-40 of them: on a 1/4 grid (ties of
-    a gap with a reach, touching and nested intervals), or random with
-    overlaps; some reaches infinite, some endpoints near ±1e308, where a
-    gap overflows to inf."""
-    w = draw(st.integers(1, 40))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        lows = rng.integers(0, 4 * w, w) / 4
-        highs = lows + rng.integers(0, 4, w) / 4
-        reach = rng.integers(1, 8, w) / 4
-    else:
-        lows = rng.uniform(-w, w, w)
-        highs = lows + rng.exponential(draw(st.floats(0.01, 2.0)), w) * (rng.random(w) < 0.7)
-        reach = rng.exponential(draw(st.floats(0.01, 2.0)), w) + 1e-300
-    if draw(st.booleans()):
-        reach[rng.random(w) < 0.3] = np.inf
-    if draw(st.booleans()):
-        scale = 1.7e308 / max(1.0, float(np.abs(highs).max()), float(np.abs(lows).max()))
-        lows, highs = lows * scale, highs * scale
-    return lows, highs, reach
-
-
-class TestSeparationSweep:
-    """``_separated`` sweeps the intervals sorted by their ends; the pairwise
-    loop it replaced (``conftest.pairwise_separated``) is the oracle."""
-
-    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
-    @given(interval_sets())
-    def test_hypothesis_interval_sets(self, intervals):
-        assert _separated(*intervals).tolist() == pairwise_separated(*intervals)
-
-    def test_wccs_of_states(self):
-        rng = np.random.default_rng(251)
-        states = [grid_state(rng) for _ in range(100)] + list(edge_states(rng))
-        states.extend(random_state(rng, max_n=30, bounds_hi=0.05) for _ in range(100))
-        for state in states:
-            wccs = build_digraph(state).classification.wccs
-            lows = np.array([min(state.opinions[list(w)]) for w in wccs])
-            highs = np.array([max(state.opinions[list(w)]) for w in wccs])
-            reach = np.array([max(state.bounds[list(w)]) for w in wccs])
-            want = pairwise_separated(lows, highs, reach)
-            got = check_agreement_sufficient(state)
-            assert [v.separated for v in got.per_wcc] == want
-            assert got.separation_ok == all(want)
-
-    @pytest.mark.parametrize("kind", [Model.SBC, Model.SBI])
-    def test_isolated_agents(self, kind):
-        # n singleton WCCs one apart under bounds 0.1: every pair separated.
-        for n in (500, 2000):
-            y, r = np.arange(float(n)), np.full(n, 0.1)
-            verdict = check_agreement_sufficient(OpinionState(y, r, kind))
-            got = [v.separated for v in verdict.per_wcc]
-            assert len(got) == n and all(got)
-            if n <= 500:
-                assert got == pairwise_separated(y, y, r)
 
 
 class TestLimitEquilibrium:
