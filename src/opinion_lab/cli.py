@@ -84,7 +84,7 @@ def load_trajectory_csv(path, state: OpinionState) -> Trajectory:
         with open(path) as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
-            if header is None or header[0] != "t":
+            if not header or header[0] != "t":
                 raise InputError(f"{path}: missing trajectory header")
             for lineno, row in enumerate(reader, start=2):
                 try:

@@ -10,7 +10,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -20,23 +20,12 @@ from opinion_lab.matrix import adjacency_matrix, canonical_decomposition, fvct_c
 from opinion_lab.state import Model, OpinionState
 
 
-@cache
-def _label_keys(n: int) -> np.ndarray:
-    """h(0) .. h(n-1) as the ``(n, 2)`` float64 limbs (h mod 2**32, h >> 32)."""
-    z = np.arange(n, dtype=np.uint64) + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return np.stack([z & np.uint64(2**32 - 1), z >> np.uint64(32)], axis=1).astype(float)
-
-
 def digraph_hash(g: ProximityDigraph) -> str:
     """Label of the mask alone: the first 16 hex digits of sha256 over n and
-    S_0 .. S_{n-1}, each as 8 little-endian bytes, where S_i is the sum mod
-    2**64 of h(j) = splitmix64(j), the first output of SplitMix64 seeded with
-    j, over the edges (i, j).  A sum ignores order, so prefix sums over sorted
-    neighbour ranges give every S_i in O(n).  It replaced a sha256 of the edge list."""
-    sums = g.key_sums(_label_keys(g.n))
+    the digraph's ``key_sums`` S_0 .. S_{n-1}, each as 8 little-endian
+    bytes.  S_i sums the keys splitmix64(j) of i's out-neighbours j mod
+    2**64, so it ignores the order of the edges."""
+    sums = g.key_sums()
     return hashlib.sha256(g.n.to_bytes(8, "little") + sums.astype("<u8").tobytes()).hexdigest()[:16]
 
 
@@ -184,14 +173,14 @@ class Epoch:
 
     def at(self, opinions) -> Epoch:
         """The epoch of ``opinions`` under this epoch's bounds and model, from
-        the same step, with its digraph and ε read from one slack matrix.
+        the same step, with its digraph and ε read from one distance matrix.
         If the digraph is this epoch's, the new one holds the same digraph
         object and with it the same classification.  This epoch's anchor
         stays where it is."""
         state = self._run.with_opinions(opinions)
-        g, slack = self.digraph.at(state.opinions, state.bounds, state.kind)
+        g, dist = self.digraph.at(state.opinions, state.bounds, state.kind)
         at = Epoch(self.start, state, g)
-        at.epsilon = _equi_topology_radius(slack)
+        at.epsilon = _equi_topology_radius(dist, state.bounds)
         return at
 
 
@@ -210,10 +199,10 @@ _RADIUS_FLOOR = 2.0**-1020
 _ANCHOR_CEILING = 2.0**1000
 
 
-def _anchor_radius(slack: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The radii rho of the box around anchor ``a`` with signed slacks
-    ``slack``, which it overwrites."""
-    eps = _equi_topology_radius(slack)
+def _anchor_radius(dist: np.ndarray, r: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The radii rho of the box around anchor ``a`` under bounds ``r``, from
+    a's distance matrix ``dist``, which it overwrites."""
+    eps = _equi_topology_radius(dist, r)
     size = float(np.abs(a).max())
     rho = eps * (1.0 - 8 * _U) - 8 * _U * size
     return np.where((eps >= _RADIUS_FLOOR) & (size < _ANCHOR_CEILING), rho, 0.0)
@@ -234,9 +223,9 @@ def _epoch_at(epoch: Optional[Epoch], t: int, x: np.ndarray, state: OpinionState
     if epoch is not None:
         if epoch._anchor is not None and (np.abs(x - epoch._anchor) < epoch._radius).all():
             return epoch
-        g, slack = epoch.digraph.at(x, state.bounds, state.kind)
+        g, dist = epoch.digraph.at(x, state.bounds, state.kind)
         if g is epoch.digraph:
-            epoch._anchor, epoch._radius = x, _anchor_radius(slack, x)
+            epoch._anchor, epoch._radius = x, _anchor_radius(dist, state.bounds, x)
             return epoch
     epoch = Epoch(t, state, g, x)
     log.append((t, epoch.label))

@@ -23,6 +23,17 @@ _LIMB_WEIGHTS = np.array([1, 2**32], dtype=np.uint64)
 _CAST_BLOCK = 2**16
 
 
+@functools.cache
+def _label_keys(n: int) -> np.ndarray:
+    """The keys splitmix64(j), SplitMix64's first output seeded with j, for
+    j < n, as the ``(n, 2)`` float64 limbs (k mod 2**32, k >> 32)."""
+    z = np.arange(n, dtype=np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return np.stack([z & np.uint64(2**32 - 1), z >> np.uint64(32)], axis=1).astype(float)
+
+
 @dataclass(frozen=True, eq=False)
 class ProximityDigraph:
     """The proximity relation as its validated boolean matrix: ``mask[i, j]``
@@ -76,25 +87,22 @@ class ProximityDigraph:
     def at(self, y: np.ndarray, r: np.ndarray, kind: Model) -> tuple:
         """The digraph of opinions ``y`` under validated bounds ``r`` and
         model ``kind``, decided exactly: this same object iff y has exactly
-        this digraph's edges, else a new digraph.  Second, the signed slacks
-        ``_slacks(y, r, kind)``, from which ``_equi_topology_radius`` reads
-        ε in place."""
-        slack = _slacks(y, r, kind)
-        far = _far(slack, kind)
-        # Kept iff every edge is near and every non-edge far.
-        return (self if not (far == self.mask).any() else ProximityDigraph(~far)), slack
+        this digraph's edges, else a new digraph.  Second, the pairwise
+        distances of y, from which ``_equi_topology_radius`` reads ε."""
+        mask = _near(dist := _distances(y), r, kind)
+        return (self if not (mask != self.mask).any() else ProximityDigraph(mask)), dist
 
-    def key_sums(self, limbs: np.ndarray) -> np.ndarray:
-        """Per node i, the sum mod 2**64 of uint64 keys k_j over its
-        out-neighbours j, the keys given as the ``(n, 2)`` float64 limbs
-        ``(k_j mod 2**32, k_j >> 32)``.  A BLAS product of the 0/1 float
-        cast of the mask with the limbs sums each limb exactly while
+    def key_sums(self) -> np.ndarray:
+        """Per node i, the sum mod 2**64 of the keys splitmix64(j) over its
+        out-neighbours j, in any order.  A BLAS product of the mask's 0/1
+        float cast with ``_label_keys`` sums each limb exactly while
         n < 2**21, as every partial sum is an integer below 2**53.
 
         The mask is cast in blocks of rows of at most ``_CAST_BLOCK``
         entries (one row if n is larger), so the temporary stays that small
         however many edges there are.  A mask that fits in one block keeps
         its cast for ``float_mask``, so the averaging matrix scales it."""
+        limbs = _label_keys(self.n)
         if self.n * self.n <= _CAST_BLOCK:
             object.__setattr__(self, "_cast", self.mask.astype(float))
             sums = self._cast @ limbs
@@ -158,9 +166,9 @@ class Classification:
 
 
 def proximity_mask(state: OpinionState) -> np.ndarray:
-    """Boolean edge matrix of the neighbor inequality, unvalidated (cheap
-    enough for per-step change detection)."""
-    return ~_far(_slacks(state.opinions, state.bounds, state.kind), state.kind)
+    """Boolean edge matrix of the neighbor rule ``_near``, unvalidated
+    (cheap enough for per-step change detection)."""
+    return _near(_distances(state.opinions), state.bounds, state.kind)
 
 
 def _distances(y: np.ndarray) -> np.ndarray:
@@ -169,39 +177,26 @@ def _distances(y: np.ndarray) -> np.ndarray:
     return np.abs(dist, out=dist)
 
 
-def _slacks(y: np.ndarray, r: np.ndarray, kind: Model) -> np.ndarray:
-    """The signed slacks ``fl(|y_i - y_j|) - r_i`` of opinions ``y``
-    against the row agent's bound, written over the distance matrix.  A
-    rounded difference has the sign of the exact one, so slack[i, j] <= 0
-    iff the distance is at most r_i; it is NaN only where a distance that
-    overflowed to inf meets an infinite bound, which holds it.  Under SBI,
-    whose edges take the column agent's bound, they are the transpose of
-    ``dist - r_j``, equal bit for bit as fl(a - b) = -fl(b - a), so that
-    ``_far`` reads both models' masks from C-ordered rows."""
-    slack, sbi = _distances(y), kind is Model.SBI
-    with np.errstate(invalid="ignore"):
-        np.subtract(slack, r if sbi else r[:, None], out=slack)
-    return slack.T if sbi else slack
+def _near(dist: np.ndarray, r: np.ndarray, kind: Model) -> np.ndarray:
+    """The neighbor rule: per pair (i, j), C-contiguous like ``dist``,
+    whether j is an out-neighbor of i, i.e. ``|y_i - y_j| <= r_i`` under SBC
+    (the listener's confidence) and ``<= r_j`` under SBI (the speaker's
+    influence).  The comparison is exact; boundary semantics matter."""
+    return dist <= (r if kind is Model.SBI else r[:, None])
 
 
-def _far(slack: np.ndarray, kind: Model) -> np.ndarray:
-    """Per pair (i, j), C-contiguous, whether j is not an out-neighbor of i:
-    the slack against the bound that decides the edge is positive, i's own
-    under SBC and j's under SBI."""
-    return (slack.T if kind is Model.SBI else slack) > 0.0
-
-
-def _equi_topology_radius(slack: np.ndarray) -> np.ndarray:
+def _equi_topology_radius(dist: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Per agent, half the smallest slack ``|dist_ij - r|`` between its
-    distance to another agent and either agent's bound, from the signed
-    slacks of ``_slacks``, which it overwrites: the same for both models,
-    as each takes both bounds.
+    distance to another agent and either agent's bound (both models take
+    both), from the distance matrix, which it overwrites with the slacks.
 
-    Row i of the slacks holds those against i's own bound and column i
-    those against the others'.  A single agent has none and gets +inf.  A
-    slack against an infinite bound is +inf, also where the distance
-    overflowed to inf: inf - inf is NaN, which fmin skips.
+    Row i of ``|dist - r_i|`` holds the slacks against i's own bound and
+    column i those against the others'.  A single agent has none and gets
+    +inf.  A slack against an infinite bound is +inf, also where the
+    distance overflowed to inf: inf - inf is NaN, which fmin skips.
     """
+    with np.errstate(invalid="ignore"):
+        slack = np.subtract(dist, r[:, None], out=dist)
     np.abs(slack, out=slack)
     np.fill_diagonal(slack, math.inf)
     return 0.5 * np.fmin(np.fmin.reduce(slack, axis=0), np.fmin.reduce(slack, axis=1))
@@ -209,16 +204,11 @@ def _equi_topology_radius(slack: np.ndarray) -> np.ndarray:
 
 def _epsilon(y: np.ndarray, r: np.ndarray) -> np.ndarray:
     """``_equi_topology_radius`` of opinions ``y`` under bounds ``r``."""
-    return _equi_topology_radius(_slacks(y, r, Model.SBC))
+    return _equi_topology_radius(_distances(y), r)
 
 
 def build_digraph(state: OpinionState) -> ProximityDigraph:
-    """Out-neighbor sets from the bounded-confidence/influence inequality.
-
-    SBC: j is an out-neighbor of i iff |y_i - y_j| <= r_i.
-    SBI: j is an out-neighbor of i iff |y_i - y_j| <= r_j.
-    The comparison is exact; boundary semantics matter downstream.
-    """
+    """The validated digraph of ``proximity_mask(state)``."""
     return ProximityDigraph(proximity_mask(state))
 
 

@@ -97,8 +97,8 @@ def edge_states(rng, max_n=12):
     yield OpinionState([0.3], [np.inf], Model.SBI)
 
 
-# --- The mask and ε from the distance matrix: how graph.py read them before
-# both came from the signed slacks, kept as oracles. ------------------------
+# --- The mask and ε from a fresh distance matrix, written out apart from
+# graph.py's ``_near`` and its in-place slacks, kept as oracles. -----------
 
 
 def distance_neighbor_mask(dist, r, kind):

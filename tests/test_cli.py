@@ -711,6 +711,14 @@ class TestExitCodes:
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err == f"input error: {message}\n"
 
+    def test_trajectory_with_a_blank_first_line_is_input_error(self, three_agent_json, tmp_path, capsys):
+        # The blank line parses as an empty row, which has no first cell.
+        path = tmp_path / "blank.csv"
+        path.write_text("\nt,x_0,x_1,x_2\n0,0.0,0.6,1.0\n")
+        assert main(["analyze", "--state", three_agent_json, "--trajectory", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"input error: {path}: missing trajectory header\n"
+
     def test_bad_flag_value(self, three_agent_json, capsys):
         for cmd, flag in (
             ("simulate", "--max-steps"),

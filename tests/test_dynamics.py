@@ -476,8 +476,7 @@ class TestAnchorBox:
     @staticmethod
     def box(state):
         a = state.opinions
-        with np.errstate(invalid="ignore"):
-            return dynamics._anchor_radius(_distances(a) - state.bounds[:, None], a)
+        return dynamics._anchor_radius(_distances(a), state.bounds, a)
 
     @staticmethod
     def inside(rng, a, rho):
@@ -578,6 +577,38 @@ class TestMaskEvaluations:
         assert [t for t, _ in traj.topology_epochs] == list(range(10))
         assert len(masks) == 9 and not boxes
         assert traj.final_epoch._anchor is None
+
+    def test_epsilon_is_read_only_at_a_re_anchor(self, monkeypatch):
+        # Each exact change test that keeps the mask re-anchors and reads
+        # ε once from its distances; one that opens an epoch reads none.
+        from opinion_lab import graph
+
+        log = []
+        at, radius = ProximityDigraph.at, graph._equi_topology_radius
+
+        def logged_at(g, *args):
+            got = at(g, *args)
+            log.append("kept" if got[0] is g else "opened")
+            return got
+
+        def logged_radius(*args):
+            log.append("eps")
+            return radius(*args)
+
+        monkeypatch.setattr(ProximityDigraph, "at", logged_at)
+        monkeypatch.setattr(graph, "_equi_topology_radius", logged_radius)
+        monkeypatch.setattr(dynamics, "_equi_topology_radius", logged_radius)
+        rng = np.random.default_rng(271)
+        states = [*epoch_start_states(rng, runs=3), *edge_states(rng), draw_state(Model.SBC, 50, 0, 1)]
+        kept = opened = 0
+        for state in states:
+            for kind in Model:
+                log.clear()
+                simulate(OpinionState(state.opinions, state.bounds, kind))
+                assert log.count("eps") == log.count("kept")
+                assert all(b == "eps" for a, b in zip(log, log[1:] + [None]) if a == "kept")
+                kept, opened = kept + log.count("kept"), opened + log.count("opened")
+        assert kept > 500 and opened > 500
 
 
 @functools.cache

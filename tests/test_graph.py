@@ -25,7 +25,6 @@ from opinion_lab.graph import (
     _distances,
     _epsilon,
     _equi_topology_radius,
-    _slacks,
     proximity_mask,
     weak_components,
 )
@@ -210,12 +209,11 @@ class TestProximityDigraph:
         for state in states:
             g, r, kind = build_digraph(state), state.bounds, state.kind
             for x in self.moved(rng, state.opinions):
-                got, slack = g.at(x, r, kind)
+                got, dist = g.at(x, r, kind)
                 want = distance_neighbor_mask(_distances(x), r, kind)
                 assert (got is g) == np.array_equal(want, g.mask)
                 assert np.array_equal(got.mask, want)
-                with np.errstate(invalid="ignore"):
-                    assert slack.tobytes() == (_distances(x) - r[:, None]).tobytes()
+                assert dist.tobytes() == _distances(x).tobytes()
                 kept, changed = kept + (got is g), changed + (got is not g)
         assert kept > 1000 and changed > 300
 
@@ -233,8 +231,9 @@ def slack_states(rng):
 
 
 class TestSlacks:
-    """The mask and ε read from the signed slacks ``fl(|y_i - y_j|) - r_i``
-    against the forms that read them from the distance matrix."""
+    """The mask from ``_near`` and ε from the slacks ``|y_i - y_j| - r_i``
+    taken in place, against the oracles that read them from a fresh
+    distance matrix."""
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_masks_are_c_contiguous_bool_with_a_true_diagonal(self):
@@ -260,23 +259,21 @@ class TestSlacks:
         for state in slack_states(rng):
             y, r = state.opinions, state.bounds
             want = distance_equi_topology_radius(_distances(y), r).tobytes()
-            with np.errstate(invalid="ignore"):
-                assert _slacks(y, r, state.kind).tobytes() == (_distances(y) - r[:, None]).tobytes()
             assert _epsilon(y, r).tobytes() == want
             assert Epoch(0, state).epsilon.tobytes() == want
             assert equi_topology_distance(state).tobytes() == want
             g = build_digraph(state)
-            assert _equi_topology_radius(g.at(y, r, state.kind)[1]).tobytes() == want
+            assert _equi_topology_radius(g.at(y, r, state.kind)[1], r).tobytes() == want
             x = rng.permutation(y)
             assert Epoch(0, state).at(x).epsilon.tobytes() == (
                 distance_equi_topology_radius(_distances(x), r).tobytes()
             )
-            # The anchor box from the slacks: the radii of the distance form.
+            # The anchor box in place: the radii of the distance form.
             eps = distance_equi_topology_radius(_distances(y), r)
             size = float(np.abs(y).max())
             rho = eps * (1.0 - 8 * dynamics._U) - 8 * dynamics._U * size
             rho = np.where((eps >= dynamics._RADIUS_FLOOR) & (size < dynamics._ANCHOR_CEILING), rho, 0.0)
-            assert dynamics._anchor_radius(_slacks(y, r, state.kind), y).tobytes() == rho.tobytes()
+            assert dynamics._anchor_radius(_distances(y), r, y).tobytes() == rho.tobytes()
 
 
 class TestDigraphJson:
