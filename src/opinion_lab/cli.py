@@ -13,6 +13,7 @@ import logging
 import math
 import os
 import sys
+from contextlib import contextmanager
 from functools import cache
 
 import numpy as np
@@ -37,14 +38,23 @@ class InputError(Exception):
     """Malformed user input (file contents, flags)."""
 
 
+@contextmanager
+def _input(source, errors=(OSError, ValueError, TypeError, IndexError, OverflowError)):
+    """Re-raise what an unreadable file or a malformed value can cause as an
+    ``InputError`` naming ``source``.  An output path passes ``OSError`` alone,
+    so that a fault inside its writer stays a runtime failure."""
+    try:
+        yield
+    except errors as exc:
+        raise InputError(f"{source}: {exc}") from exc
+
+
 def load_state(path, model) -> OpinionState:
     """Read a state file: JSON {"opinions": [...], "bounds": [...]} or a
     two-column CSV (opinion, bound) whose first non-empty row may be a
     header starting ``opinion``, ``x`` or ``y``."""
-    try:
-        text = open(path).read()
-    except OSError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    with _input(path), open(path) as fh:
+        text = fh.read()
     if path.endswith(".csv"):
         opinions, bounds = [], []
         rows = [(n, row) for n, row in enumerate(csv.reader(text.splitlines()), start=1) if row]
@@ -53,47 +63,36 @@ def load_state(path, model) -> OpinionState:
             del rows[0]
         for lineno, row in rows:
             if len(row) != 2:
-                raise InputError(
-                    f"{path}:{lineno}: expected 2 columns, got {len(row)}"
-                )
-            try:
+                raise InputError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
+            with _input(f"{path}:{lineno}"):
                 opinions.append(float(row[0]))
                 bounds.append(float(row[1]))
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from exc
     else:
-        try:
+        with _input(f"{path}: invalid JSON"):
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(raw, dict) or "opinions" not in raw or "bounds" not in raw:
-            raise InputError(
-                f'{path}: expected fields "opinions" and "bounds"'
-            )
+            raise InputError(f'{path}: expected fields "opinions" and "bounds"')
         opinions, bounds = raw["opinions"], raw["bounds"]
-    try:
+        # numpy would read true as 1.0 and "0.5" as 0.5.
+        for name, values in (("opinions", opinions), ("bounds", bounds)):
+            if isinstance(values, list) and not {bool, str}.isdisjoint(map(type, values)):
+                raise InputError(f'{path}: "{name}" must be a list of numbers')
+    with _input(path):
         return OpinionState(opinions, bounds, Model(model))
-    except (ValueError, TypeError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
 
 
 def load_trajectory_csv(path, state: OpinionState) -> Trajectory:
     """Rehydrate a trajectory from the CSV written by `simulate`."""
     times, rows = [], []
-    try:
-        with open(path) as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if not header or header[0] != "t":
-                raise InputError(f"{path}: missing trajectory header")
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    times.append(int(row[0]))
-                    rows.append([float(v) for v in row[1:]])
-                except (ValueError, IndexError) as exc:
-                    raise InputError(f"{path}:{lineno}: {exc}") from exc
-    except OSError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    with _input(path), open(path) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header or header[0] != "t":
+            raise InputError(f"{path}: missing trajectory header")
+        for lineno, row in enumerate(reader, start=2):
+            with _input(f"{path}:{lineno}"):
+                times.append(int(row[0]))
+                rows.append([float(v) for v in row[1:]])
     if not rows:
         raise InputError(f"{path}: empty trajectory")
     if any(len(x) != state.n for x in rows):
@@ -120,6 +119,11 @@ def _emit(obj) -> None:
 
 def cmd_simulate(args) -> int:
     state = load_state(args.state, args.model)
+    prefix = args.out_prefix
+    if prefix:
+        # Refuse a missing directory before the run ("dir/." fails on a file too).
+        with _input(f"--out-prefix {prefix}", OSError):
+            os.stat(os.path.join(os.path.dirname(prefix), "."))
     traj = simulate(
         state,
         max_steps=args.max_steps,
@@ -127,9 +131,10 @@ def cmd_simulate(args) -> int:
         record_every=args.record_every,
         limit_tol=args.limit_tol,
     )
-    if args.out_prefix:
-        traj.to_csv(args.out_prefix + "_trajectory.csv")
-        traj.events_to_json_file(args.out_prefix + "_events.json")
+    if prefix:
+        with _input(f"--out-prefix {prefix}", OSError):
+            traj.to_csv(prefix + "_trajectory.csv")
+            traj.events_to_json_file(prefix + "_events.json")
     _emit(
         {
             "steps": traj.times[-1],
@@ -186,16 +191,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    try:
+    with _input(args.config):
         cfg = ExperimentConfig.from_json_file(args.config)
-    except (OSError, ValueError, TypeError, json.JSONDecodeError) as exc:
-        raise InputError(f"{args.config}: {exc}") from exc
-    try:
+    with _input(f"--out {args.out}", OSError):
         os.makedirs(args.out, exist_ok=True)
-    except OSError as exc:
-        raise InputError(f"--out {args.out}: {exc}") from exc
     records = run_campaign(cfg)
-    results_path, aggregate_path = emit_results(records, args.out)
+    with _input(f"--out {args.out}", OSError):
+        results_path, aggregate_path = emit_results(records, args.out)
     _emit({"runs": len(records), "results": results_path, "aggregate": aggregate_path})
     return 0
 

@@ -51,21 +51,16 @@ def invariant_equi_topology_distance(state: OpinionState | Epoch) -> np.ndarray:
 
 
 def in_neighborhood(y: np.ndarray, z_state: OpinionState, radii: np.ndarray) -> bool:
-    """Strict per-coordinate box membership; zero radius forces equality.
-
-    Coordinates with a positive radius must satisfy |y_i - z_i| < radius;
-    coordinates with radius zero must match exactly.
-    """
+    """Strict per-coordinate box membership, |y_i - z_i| < radius_i, where a
+    coordinate equal to z_i is inside under any radius: under a radius of 0
+    or less (or NaN) only such a coordinate is inside."""
     y = np.asarray(y, dtype=float)
     z = z_state.opinions
     radii = np.asarray(radii, dtype=float)
     if not (len(y) == len(z) == len(radii)):
         raise ValueError("vectors must share a length")
-    diff = np.abs(y - z)
-    positive = radii > 0.0
-    if not np.all(diff[positive] < radii[positive]):
-        return False
-    return bool(np.all(diff[~positive] == 0.0))
+    d = np.abs(y - z)
+    return bool(((d < radii) | (d == 0.0)).all())
 
 
 def check_equal_topology(y: np.ndarray, z_state: OpinionState) -> bool:

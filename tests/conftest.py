@@ -825,3 +825,18 @@ def eye_fvct_canonical(d, y):
     out = np.empty_like(f)
     out[perm] = f
     return out
+
+
+# --- ``in_neighborhood``'s body before it became one expression, kept as an
+# oracle. ------------------------------------------------------------------
+
+
+def two_clause_in_neighborhood(y, z, radii):
+    """A coordinate with a positive radius is inside when its distance is
+    below the radius; any other must equal z exactly."""
+    diff = np.abs(np.asarray(y, dtype=float) - np.asarray(z, dtype=float))
+    radii = np.asarray(radii, dtype=float)
+    positive = radii > 0.0
+    if not np.all(diff[positive] < radii[positive]):
+        return False
+    return bool(np.all(diff[~positive] == 0.0))

@@ -100,6 +100,46 @@ class TestLoadState:
         with pytest.raises(InputError):
             load_state(str(path), "sbc")
 
+    @pytest.mark.parametrize("name", ["state.json", "state.csv"])
+    def test_undecodable_state_is_input_error(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        path.write_bytes(b"\xff\xfe0.1,0.2\n")
+        assert main(["fvct", "--state", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith(f"input error: {path}: ") and "can't decode byte 0xff" in captured.err
+
+    @pytest.mark.parametrize("field", ["opinions", "bounds"])
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    def test_state_value_that_is_not_a_number_is_input_error(self, tmp_path, capsys, field, value):
+        # numpy alone would read true as 1.0 and "0.5" as 0.5.
+        raw = {"opinions": [0.0, 0.6, 1.0], "bounds": [0.25, 1.0, 0.25]}
+        raw[field][1] = value
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(raw))
+        assert main(["fvct", "--state", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f'input error: {path}: "{field}" must be a list of numbers\n'
+
+    @pytest.mark.parametrize(
+        "opinions, message",
+        [
+            (0.5, "opinions must be a 1-D vector, got shape ()"),
+            ("0.5", "opinions must be a 1-D vector, got shape ()"),
+            ([["0.5"]], "opinions must be a 1-D vector, got shape (1, 1)"),
+            ([None], "opinions must be finite"),
+            ({"a": 1}, "float() argument must be a string or a real number, not 'dict'"),
+            ([10**400], "int too large to convert to float"),
+        ],
+    )
+    def test_malformed_opinions_are_input_errors(self, tmp_path, capsys, opinions, message):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"opinions": opinions, "bounds": [0.25]}))
+        assert main(["fvct", "--state", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"input error: {path}: {message}\n"
+
 
 class TestSimulateCommand:
     def test_converges_and_reports(self, three_agent_json, capsys):
@@ -127,6 +167,46 @@ class TestSimulateCommand:
         assert lines[0] == "t,x_0,x_1,x_2"
         events = json.loads((tmp_path / "run_events.json").read_text())
         assert events["termination"] == "tolerance_reached"
+
+    def test_out_prefix_without_a_directory_fails_before_the_run(
+        self, three_agent_json, tmp_path, capsys, monkeypatch
+    ):
+        from opinion_lab import cli
+
+        runs = []
+        monkeypatch.setattr(cli, "simulate", lambda *args, **kwargs: runs.append(args))
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        for prefix in (tmp_path / "missing" / "run", taken / "run"):
+            assert main(["simulate", "--state", three_agent_json, "--out-prefix", str(prefix)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and "Traceback" not in captured.err
+            assert captured.err.startswith(f"input error: --out-prefix {prefix}: ")
+        assert runs == [] and taken.read_text() == "keep"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json", "taken"]
+
+    def test_unwritable_out_prefix_is_input_error(self, three_agent_json, tmp_path, capsys):
+        prefix = tmp_path / "run"
+        (tmp_path / "run_trajectory.csv").mkdir()
+        assert main(["simulate", "--state", three_agent_json, "--out-prefix", str(prefix)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith(f"input error: --out-prefix {prefix}: ")
+        assert f"{prefix}_trajectory.csv" in captured.err
+        assert not (tmp_path / "run_events.json").exists()
+
+    def test_a_fault_inside_a_writer_exits_2(self, three_agent_json, tmp_path, capsys, monkeypatch):
+        from opinion_lab.dynamics import Trajectory
+
+        def fail(self, path):
+            raise ValueError("writer fault")
+
+        monkeypatch.setattr(Trajectory, "to_csv", fail)
+        argv = ["simulate", "--state", three_agent_json, "--out-prefix", str(tmp_path / "run")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.endswith("error: writer fault\n")
+        assert "input error" not in captured.err
 
 
 class TestOtherCommands:
@@ -653,6 +733,23 @@ class TestExperimentCommand:
             assert captured.err.startswith(f"input error: --out {out}: ")
         assert campaigns == [] and taken.read_text() == "keep"
 
+    def test_unwritable_results_is_input_error(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        (out / "results.csv").mkdir(parents=True)
+        assert main(["experiment", "--config", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith(f"input error: --out {out}: failed writing campaign results under {out}: ")
+
+    def test_overflowing_config_value_is_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"agent_counts": [3], "opinion_range": [0, 10**400]}))
+        assert main(["experiment", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: {cfg}: int too large to convert to float\n"
+        assert not (tmp_path / "o").exists()
+
 
 class TestExitCodes:
     def test_missing_state_file(self, tmp_path, capsys):
@@ -702,14 +799,25 @@ class TestExitCodes:
     def test_unreadable_trajectory_is_input_error(self, three_agent_json, tmp_path, capsys):
         cell = tmp_path / "cell.csv"
         cell.write_text("t,x_0,x_1,x_2\n0,0.0,0.6,1.0\n1,0.0,abc,1.0\n")
+        blank = tmp_path / "blank.csv"
+        blank.write_text("t,x_0,x_1,x_2\n0,0.0,0.6,1.0\n\n")
         missing = tmp_path / "missing.csv"
         for path, message in (
             (cell, f"{cell}:3: could not convert string to float: 'abc'"),
+            (blank, f"{blank}:3: list index out of range"),
             (missing, f"{missing}: [Errno 2] No such file or directory: '{missing}'"),
         ):
             assert main(["analyze", "--state", three_agent_json, "--trajectory", str(path)]) == 1
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err == f"input error: {message}\n"
+
+    def test_undecodable_trajectory_is_input_error(self, three_agent_json, tmp_path, capsys):
+        path = tmp_path / "bytes.csv"
+        path.write_bytes(b"t,x_0,x_1,x_2\n0,0.0,\xff,1.0\n")
+        assert main(["analyze", "--state", three_agent_json, "--trajectory", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith(f"input error: {path}: ") and "can't decode byte 0xff" in captured.err
 
     def test_trajectory_with_a_blank_first_line_is_input_error(self, three_agent_json, tmp_path, capsys):
         # The blank line parses as an empty row, which has no first cell.

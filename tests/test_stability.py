@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opinion_lab import (
     Model,
@@ -37,6 +39,7 @@ from conftest import (
     neighbor_lists,
     random_state,
     report_json_oracle,
+    two_clause_in_neighborhood,
     two_matrix_equi_topology_distance,
 )
 
@@ -142,6 +145,26 @@ class TestInNeighborhood:
         for y, radii in (([0.0], [0.1, 0.1]), ([0.0, 1.0], [0.1]), ([0.0, 1.0, 2.0], [0.1, 0.1, 0.1])):
             with pytest.raises(ValueError, match="vectors must share a length"):
                 in_neighborhood(y, z, radii)
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, -0.0, 0.25, -3.0]),
+                # y_i - z_i; None puts y_i at -z_i, so ±0.0 meet.
+                st.sampled_from([None, 0.0, 5e-324, -0.1, 0.25, 0.5, 1.0, 1e300]),
+                st.sampled_from([0.0, -0.0, -0.5, -math.inf, 0.5, 1.0, math.inf, math.nan]),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_agrees_with_the_two_clause_oracle(self, coords):
+        z = [zi for zi, _, _ in coords]
+        y = [-zi if off is None else zi + off for zi, off, _ in coords]
+        radii = [r for _, _, r in coords]
+        state = OpinionState(z, [1.0] * len(z), Model.SBC)
+        assert in_neighborhood(y, state, radii) is two_clause_in_neighborhood(y, z, radii)
 
     def test_iet_subset_of_et(self):
         rng = np.random.default_rng(101)
