@@ -47,9 +47,9 @@ class Trajectory:
     ``record_every=1``.  ``topology_epochs`` holds ``(start_time, hash)``
     for every digraph change, recorded exactly even when states are
     downsampled, so every recorded state lies in a recorded epoch.
-    ``final_epoch`` is the ``Epoch`` of the final state and ``limit`` the
-    final state's fvct, from that epoch's decomposition; neither is
-    serialised.
+    ``final_epoch`` is the ``Epoch`` of the final state and ``limit`` its
+    fvct, solved once from the epoch's first state (every state of the
+    epoch has the same one); neither is serialised.
     """
 
     bounds: np.ndarray
@@ -65,9 +65,9 @@ class Trajectory:
     def n(self) -> int:
         return len(self.bounds)
 
-    @cached_property
+    @property
     def limit(self) -> np.ndarray:
-        return fvct_canonical(self.final_epoch.decomposition, self.states[-1])
+        return self.final_epoch.fvct()
 
     def final_state(self) -> OpinionState:
         return OpinionState(self.states[-1], self.bounds, self.kind)
@@ -118,7 +118,7 @@ class Epoch:
         _digraph: Optional[ProximityDigraph] = None,  # state's, if known
         _first: Optional[np.ndarray] = None,  # the first opinions, if not state's
     ):
-        self.start, self._run, self._digraph, self._limit = start, state, _digraph, None
+        self.start, self._run, self._digraph, self._fvct = start, state, _digraph, None
         # A state of the epoch and the box around it that keeps its mask.
         self._anchor: Optional[np.ndarray] = None
         self._radius: Optional[np.ndarray] = None
@@ -153,9 +153,14 @@ class Epoch:
     def fvct(self) -> np.ndarray:
         """Final value at constant topology of the epoch's first state (the
         same for every state of the epoch), computed once."""
-        if self._limit is None:
-            self._limit = fvct_canonical(self.decomposition, self._first)
-        return self._limit
+        if self._fvct is None:
+            self._fvct = fvct_canonical(self.decomposition, self._first)
+        return self._fvct
+
+    @cached_property
+    def limit(self) -> Epoch:
+        """The epoch of ``fvct()``: its digraph and ε from one distance matrix."""
+        return self.at(self.fvct())
 
     def _step(self, x: np.ndarray) -> np.ndarray:
         """The averaging map of the epoch's topology applied to ``x``: the
@@ -424,8 +429,8 @@ def pseudo_stable_check(
     recorded trajectory against the supplied limit vector.
 
     ``fixed_tol`` relaxes the fixed clause's equality check; the default is
-    exact, but a tolerance around 1e-12 absorbs the one-ulp difference
-    between the trajectory's own averaging and a separately computed limit.
+    exact, but an agent that the averaging fixes may sit an ulp off the
+    solved fvct, and a tolerance around 1e-12 absorbs that.
     """
     if len(traj.times) < 2:
         raise ValueError("need at least 2 recorded steps")

@@ -208,15 +208,14 @@ def run_single(
     )
     epoch = traj.final_epoch
     # The limit usually keeps the final epoch's digraph and classification.
-    limit = epoch.at(epoch.fvct())
-    delta = invariant_equi_topology_distance(limit)
+    delta = invariant_equi_topology_distance(epoch.limit)
     # A tolerance stop checks its final step; a fixed or max_steps stop
     # records one step past its last check.
     stop = traj.times[-1] + (traj.termination is Termination.TOLERANCE_REACHED)
     tau = None
     x = epoch.state.opinions
     for t in range(epoch.start, stop):
-        if t % cfg.check_every == 0 and in_neighborhood(x, limit.state, delta):
+        if t % cfg.check_every == 0 and in_neighborhood(x, epoch.limit.state, delta):
             tau = t
             break
         x = epoch._step(x)
@@ -260,29 +259,26 @@ def emit_results(records, out_dir) -> tuple:
     aggregate_path = os.path.join(out_dir, "aggregate.csv")
 
     records = sorted(records, key=lambda r: r.coordinates)
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(results_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(RunRecord.HEADER)
-            writer.writerows(rec.row() for rec in records)
-        with open(aggregate_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["model", "n", "runs", "pct_finite", "mean_tau"])
-            for (model, n), group in itertools.groupby(records, key=lambda r: (r.model.value, r.n)):
-                recs = list(group)
-                finite = sum(1 for r in recs if r.fixed_at is not None)
-                taus = [r.tau_condition for r in recs if r.tau_condition is not None]
-                mean_tau = sum(taus) / len(taus) if taus else float("nan")
-                writer.writerow(
-                    [
-                        model,
-                        n,
-                        len(recs),
-                        format(100.0 * finite / len(recs), ".17g"),
-                        format(mean_tau, ".17g"),
-                    ]
-                )
-    except OSError as exc:
-        raise OSError(f"failed writing campaign results under {out_dir}: {exc}") from exc
+    os.makedirs(out_dir, exist_ok=True)
+    with open(results_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RunRecord.HEADER)
+        writer.writerows(rec.row() for rec in records)
+    with open(aggregate_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["model", "n", "runs", "pct_finite", "mean_tau"])
+        for (model, n), group in itertools.groupby(records, key=lambda r: (r.model.value, r.n)):
+            recs = list(group)
+            finite = sum(1 for r in recs if r.fixed_at is not None)
+            taus = [r.tau_condition for r in recs if r.tau_condition is not None]
+            mean_tau = sum(taus) / len(taus) if taus else float("nan")
+            writer.writerow(
+                [
+                    model,
+                    n,
+                    len(recs),
+                    format(100.0 * finite / len(recs), ".17g"),
+                    format(mean_tau, ".17g"),
+                ]
+            )
     return results_path, aggregate_path

@@ -107,8 +107,8 @@ class RateVerdict:
 def verify_rate_prediction(traj: Trajectory, la: LeaderAssignment) -> list:
     """Compare the last recorded per-step factors of open-minded agents
     against their leader's spectral radius, with the leaders ``la`` of the
-    final topology and the residuals taken to ``traj.limit``.  The final
-    topology epoch must hold at least ``RATE_MIN_STATES`` recorded states.
+    final topology and the residuals taken to its fvct, ``traj.limit``.
+    The final epoch must hold at least ``RATE_MIN_STATES`` recorded states.
 
     Agents whose residual to the constant-topology limit has fallen below
     the tracking floor are flagged excluded rather than scored.

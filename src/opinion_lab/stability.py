@@ -182,10 +182,10 @@ def check_limit_equilibrium(
     traj: Trajectory,
     residual_tol: float = 1e-8,
 ) -> LimitEquilibriumVerdict:
-    """Take the final state's fvct, ``traj.limit``, as the limit and, when
-    its minimum equi-topology distance is positive, confirm the tail
-    topology matches and the limit is an equilibrium within
-    ``EQUILIBRIUM_TOL``."""
+    """Take the final epoch's fvct, ``traj.limit``, as the limit and, when
+    the minimum equi-topology distance of its epoch (``Epoch.limit``) is
+    positive, confirm the tail topology matches and the limit is an
+    equilibrium within ``EQUILIBRIUM_TOL``."""
     epoch, x_inf = traj.final_epoch, traj.limit
     if traj.termination is Termination.MAX_STEPS:
         residual = float(np.max(np.abs(traj.states[-1] - x_inf)))
@@ -194,7 +194,7 @@ def check_limit_equilibrium(
                 f"trajectory not converged: residual {residual:.3e} "
                 f"exceeds {residual_tol:.3e}"
             )
-    limit = epoch.at(x_inf)
+    limit = epoch.limit
     min_eps = float(equi_topology_distance(limit).min())
     if min_eps <= 0.0:
         return LimitEquilibriumVerdict(x_inf, min_eps, False, None, None)
@@ -238,19 +238,18 @@ def _json_floats(v: np.ndarray) -> list:
 
 def stability_report(state: OpinionState) -> StabilityReport:
     """Full condition evaluation for one opinion state.  The state's epoch
-    and its fvct's (which shares the state's digraph, and so its
-    classification, when it keeps the mask) hold ε, the digraphs and
+    and its fvct's, ``Epoch.limit`` (sharing the state's digraph and its
+    classification when it keeps the mask), hold ε, the digraphs and
     classifications, and every check reads one of the two."""
     topology = Epoch(0, state)
-    limit = topology.at(topology.fvct())
-    eps_f = equi_topology_distance(limit)
-    delta_f = invariant_equi_topology_distance(limit)
+    eps_f = equi_topology_distance(topology.limit)
+    delta_f = invariant_equi_topology_distance(topology.limit)
     return StabilityReport(
         epsilon=equi_topology_distance(topology),
         delta=invariant_equi_topology_distance(topology),
         is_equilibrium=is_equilibrium(topology, EQUILIBRIUM_TOL),
         is_agreement=is_agreement_vector(topology),
-        in_et_of_fvct=in_neighborhood(state.opinions, limit.state, eps_f),
-        in_iet_of_fvct=in_neighborhood(state.opinions, limit.state, delta_f),
+        in_et_of_fvct=in_neighborhood(state.opinions, topology.limit.state, eps_f),
+        in_iet_of_fvct=in_neighborhood(state.opinions, topology.limit.state, delta_f),
         agreement_condition=check_agreement_sufficient(topology),
     )

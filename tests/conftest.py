@@ -609,19 +609,18 @@ def loop_pseudo_stable_check(traj, limit, fixed_tol=0.0):
 def reference_analyze_final_topology(traj):
     """Classifies the final state's digraph afresh, whatever the trajectory
     already knows about its final epoch: the digraph, classification,
-    decomposition, fvct and leaders, the last from a fresh ``Epoch``."""
+    decomposition and leaders, the last from a fresh ``Epoch``."""
     from opinion_lab import adjacency_matrix, build_digraph, classify
     from opinion_lab.dynamics import Epoch
     from opinion_lab.leader import leader_assignment
-    from opinion_lab.matrix import canonical_decomposition, fvct_canonical
+    from opinion_lab.matrix import canonical_decomposition
 
     final = traj.final_state()
     g = build_digraph(final)
     c = classify(g)
     d = canonical_decomposition(adjacency_matrix(g), c)
-    f = fvct_canonical(d, final.opinions)
     la = leader_assignment(Epoch(0, final))
-    return g, c, d, f, la
+    return g, c, d, la
 
 
 def loop_per_step_factor(x_t, x_next, f, tiny=1e-13):

@@ -291,8 +291,38 @@ class TestOtherCommands:
         out = json.loads(capsys.readouterr().out)
         assert "rates" in out and "directions" in out
         assert len(calls) == 1
-        # The tolerance stop's fvct of its epoch, and the trajectory's limit.
-        assert solves["fvct_canonical"] <= 2
+        # The tolerance stop's fvct of its epoch is the trajectory's limit.
+        assert solves["fvct_canonical"] == 1
+
+    def test_analyze_reads_the_final_epochs_fvct(self, tmp_path, capsys):
+        # A state whose final state's own fvct differs from its final
+        # epoch's in the last bits, which decide the pseudo-stability
+        # verdict and move the factors.
+        from opinion_lab.dynamics import per_step_factor, pseudo_stable_check
+        from opinion_lab.leader import RESIDUAL_FLOOR
+        from opinion_lab.matrix import fvct_canonical
+
+        opinions = [0.484, 0.78, 0.79, 0.859, 0.28, 0.313, 0.724, 0.657]
+        bounds = [0.363, 0.071, 0.058, 0.399, 0.121, 0.332, 0.084, 0.344]
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"opinions": opinions, "bounds": bounds}))
+        assert main(["analyze", "--state", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+
+        traj = simulate(OpinionState(opinions, bounds, Model.SBC), max_steps=10_000)
+        f = traj.final_epoch.fvct()
+        other = fvct_canonical(traj.final_epoch.decomposition, traj.states[-1])
+        verdict = pseudo_stable_check(traj, f)
+        assert verdict != pseudo_stable_check(traj, other)
+        assert out["pseudo_stable"] == {
+            "holds_from": verdict.holds_from,
+            "fixed_set": sorted(verdict.fixed_set),
+            "converging_set": sorted(verdict.converging_set),
+        }
+        factors = per_step_factor(traj.states[-2], traj.states[-1], f, tiny=RESIDUAL_FLOOR)
+        assert out["rates"] and [v["factor"] for v in out["rates"]] == [
+            factors[v["agent"]] for v in out["rates"]
+        ]
 
     def test_analyze_classifies_the_final_topology_once(
         self, three_agent_json, monkeypatch, capsys
@@ -740,7 +770,9 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", cfg, "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
-        assert captured.err.startswith(f"input error: --out {out}: failed writing campaign results under {out}: ")
+        # The path is named once, by the error of the failed open.
+        results = str(out / "results.csv")
+        assert captured.err == f"input error: --out {out}: [Errno 21] Is a directory: {results!r}\n"
 
     def test_overflowing_config_value_is_input_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

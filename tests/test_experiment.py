@@ -409,5 +409,6 @@ class TestEmitResults:
     def test_unusable_out_dir_is_named(self, tmp_path):
         taken = tmp_path / "taken"
         taken.write_text("")
-        with pytest.raises(OSError, match=f"failed writing campaign results under {taken}: "):
+        with pytest.raises(FileExistsError) as err:
             emit_results(self.make_records(), taken)
+        assert str(err.value) == f"[Errno 17] File exists: {str(taken)!r}"

@@ -8,6 +8,7 @@ from opinion_lab import (
     OpinionState,
     build_digraph,
     check_limit_equilibrium,
+    fvct,
     simulate,
 )
 from opinion_lab.cli import load_trajectory_csv
@@ -156,10 +157,11 @@ class TestAnalyzeFinalTopology:
 
 def assert_same_pieces(traj, want):
     """The five pieces of the final topology, from the trajectory's final
-    epoch, its limit and its leaders, equal bit for bit to ``want``."""
+    epoch, its limit and its leaders, equal bit for bit to ``want`` and, for
+    the limit, to a fresh fvct of the epoch's first state."""
     la, epoch = analyze_final_topology(traj), traj.final_epoch
     g, c, d, f = epoch.digraph, la.classification, epoch.decomposition, traj.limit
-    g2, c2, d2, f2, la2 = want
+    g2, c2, d2, la2 = want
     assert g == g2 and c == c2 and la == la2
     for fld in dataclasses.fields(d):
         a, b = getattr(d, fld.name), getattr(d2, fld.name)
@@ -167,7 +169,7 @@ def assert_same_pieces(traj, want):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
         else:
             assert a == b
-    assert f.tobytes() == f2.tobytes()
+    assert f.tobytes() == fvct(epoch.state).tobytes()
 
 
 class TestFinalTopologyFromTheEpoch:
@@ -243,6 +245,55 @@ class TestOneLimitPerTrajectory:
         assert pseudo_stable_check(traj, traj.limit).holds_from is not None
         assert check_limit_equilibrium(traj).x_infinity is traj.limit
         assert counts["fvct_canonical"] == 1
+
+    def test_a_tolerance_stop_leaves_nothing_to_solve(self, fig62_state, monkeypatch):
+        # The tolerance stop solved its final epoch's fvct, and that is the
+        # trajectory's limit.
+        traj = simulate(fig62_state)
+        assert traj.termination is Termination.TOLERANCE_REACHED
+        counts = count_calls(monkeypatch, fvct_canonical)
+        la = analyze_final_topology(traj)
+        assert verify_rate_prediction(traj, la)
+        verify_direction_prediction(traj, la)
+        pseudo_stable_check(traj, traj.limit)
+        assert check_limit_equilibrium(traj).x_infinity is traj.limit
+        assert traj.limit is traj.final_epoch.fvct()
+        assert counts["fvct_canonical"] == 0
+
+    def test_the_limits_epoch_reads_one_distance_matrix(self, fig62_state, monkeypatch):
+        # stability_report and run_single take their limit's digraph and eps
+        # from Epoch.limit, and build no other epoch of other opinions.
+        from functools import cached_property
+
+        from opinion_lab import graph
+        from opinion_lab.experiment import ExperimentConfig, run_single
+        from opinion_lab.stability import stability_report
+
+        counts = count_calls(monkeypatch, graph._distances)
+        limit, at, inside, ats = Epoch.__dict__["limit"].func, Epoch.at, [], []
+
+        def counted_limit(self):
+            inside.append(True)
+            epoch = limit(self)
+            inside.pop()
+            return epoch
+
+        # Per Epoch.at call: made inside Epoch.limit, distance matrices built.
+        def counted_at(self, opinions):
+            before = counts["_distances"]
+            epoch = at(self, opinions)
+            ats.append((bool(inside), counts["_distances"] - before))
+            return epoch
+
+        prop = cached_property(counted_limit)
+        prop.__set_name__(Epoch, "limit")
+        monkeypatch.setattr(Epoch, "limit", prop)
+        monkeypatch.setattr(Epoch, "at", counted_at)
+        cfg = ExperimentConfig(agent_counts=(20,), runs=1)
+        for run in (lambda: stability_report(fig62_state), lambda: run_single(Model.SBC, 20, 0, cfg)):
+            ats.clear()
+            run()
+            assert ats == [(True, 1)]
 
 
 class TestRatePrediction:
@@ -470,10 +521,11 @@ class TestDirectionScan:
         for row, sign in ((0, 1.0), (1, -1.0)):
             states[row, lead_nodes] += sign * 1e-3
             states[row, foll_nodes] -= sign * 1e-3
+        # A doctored tail around the run's limit, in the run's final epoch.
         traj = Trajectory(
             bounds=fig62_state.bounds, kind=Model.SBC, times=[0, 1], states=states,
-            topology_epochs=[(0, "tail")],
+            topology_epochs=[(0, "tail")], final_epoch=run.final_epoch,
         )
-        traj.limit = f  # a doctored tail around the run's limit
+        assert traj.limit is f
         (v,) = self.compare(traj, la)
         assert v.applicable and v.matches_from is None

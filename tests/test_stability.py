@@ -26,7 +26,6 @@ from opinion_lab import (
     strongly_connected_components,
 )
 from opinion_lab.graph import SccClass, proximity_mask
-from opinion_lab.matrix import fvct_canonical
 
 from conftest import (
     closure_weak_components,
@@ -357,11 +356,11 @@ class TestLimitEquilibrium:
         assert verdict.topology_matches_tail is None
 
     def test_limit_from_the_final_epoch(self, monkeypatch):
-        # The final epoch has the final state's mask, so its decomposition
-        # gives fvct(final) bit for bit, with no second classification and
-        # no second digraph, and the limit's mask and eps come from one
-        # distance matrix.  Each epoch is classified before counting, as a
-        # tolerance stop would have done.
+        # The limit is the final epoch's fvct, from its decomposition: a
+        # fresh fvct of the epoch's first state bit for bit, with no second
+        # classification and no second digraph, and the limit's mask and
+        # eps come from one distance matrix.  Each epoch is classified
+        # before counting, as a tolerance stop would have done.
         from opinion_lab import graph
 
         rng = np.random.default_rng(197)
@@ -370,7 +369,7 @@ class TestLimitEquilibrium:
             state = random_state(rng, max_n=10)
             traj = simulate(state, max_steps=int(rng.integers(1, 60)), fixed_tol=(0.0, 1e-3)[k % 2])
             traj.final_epoch.decomposition
-            cases.append((traj, fvct(traj.final_state())))
+            cases.append((traj, fvct(traj.final_epoch.state)))
         counts = count_calls(monkeypatch, graph.classify, graph.build_digraph, graph._distances)
         for traj, want in cases:
             counts.update(classify=0, build_digraph=0, _distances=0)
@@ -380,13 +379,13 @@ class TestLimitEquilibrium:
             assert counts["_distances"] == 1
 
     def test_limit_is_the_trajectorys(self):
-        # The verdict holds the trajectory's one fvct of its final state:
-        # the final epoch's decomposition applied to the final state.
+        # The verdict holds the trajectory's one limit, the final epoch's
+        # fvct: a fresh fvct of the epoch's first state, bit for bit.
         for state in edge_states(np.random.default_rng(241)):
             traj = simulate(state, max_steps=60)
             v = check_limit_equilibrium(traj, residual_tol=math.inf)
-            assert v.x_infinity is traj.limit
-            want = fvct_canonical(traj.final_epoch.decomposition, traj.states[-1])
+            assert v.x_infinity is traj.limit is traj.final_epoch.fvct()
+            want = fvct(traj.final_epoch.state)
             assert v.x_infinity.tobytes() == want.tobytes()
 
     def test_finite_time_agreement_premise_holds(self):
